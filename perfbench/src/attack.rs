@@ -5,7 +5,9 @@
 //! coverage), all with work-bounded budgets: the wall limit is set far above
 //! any job's run time, so a job that ends on it counts as failed. Each
 //! measured operation is one `Campaign::run` over the whole list, in an
-//! order drawn from `--seed`, on 2 workers with the default slice. Every
+//! order drawn from `--seed`, on 2 workers with the default slice. One
+//! campaign runs before the measured ones as a warm-up: its outputs are
+//! checked like the others, its time is not measured. Every
 //! job's `(success, exhausted)` must equal the frozen verdict in
 //! `attack_verdicts.txt`, and every witness must make the unprotected image
 //! return the wanted value.
@@ -180,8 +182,9 @@ pub fn run(args: &Args, scratch: &Path, tr: &mut Tracer, out: &mut Outcome) {
     let budget_window = Duration::from_secs_f64(args.seconds);
     let mut last: Option<CampaignReport> = None;
     let mut write_ms = Vec::new();
+    let mut warm = false;
     while out.latencies_ms.is_empty() || Duration::from_secs_f64(out.window_s) < budget_window {
-        let run = out.latencies_ms.len();
+        let run = out.latencies_ms.len() + usize::from(warm);
         let order = orders.next_pass();
         let dir = scratch.join(format!("campaign-{run}"));
         let start = Instant::now();
@@ -191,8 +194,11 @@ pub fn run(args: &Args, scratch: &Path, tr: &mut Tracer, out: &mut Outcome) {
         });
         let wall = start.elapsed();
         let _ = std::fs::remove_dir_all(&dir);
-        out.latencies_ms.push(wall.as_secs_f64() * 1e3);
-        out.end_pass(wall);
+        if warm {
+            out.latencies_ms.push(wall.as_secs_f64() * 1e3);
+            out.end_pass(wall);
+        }
+        warm = true;
         let report = match report {
             Ok(r) => r,
             Err(e) => {

@@ -8,7 +8,9 @@
 //!
 //! One operation is one whole pass. Single runs span four orders of
 //! magnitude (0.2 ms to 2 s), so a percentile over them would jump between
-//! programs; a pass always holds the same mix.
+//! programs; a pass always holds the same mix. Each image's load-and-call
+//! time is also kept per image, so the pass latency percentiles are read
+//! image by image (see `Outcome::parts_ms`).
 
 use crate::probe::{configs, pin_rop_counts, pipeline_layers, reference, PROTECT_SEED};
 use crate::trace::Tracer;
@@ -87,17 +89,20 @@ pub fn run(args: &Args, tr: &mut Tracer, out: &mut Outcome) {
     let mut work = [Work::default(); 3];
     let budget = Duration::from_secs_f64(args.seconds);
     let mut passes = 0u64;
+    out.parts_ms = vec![Vec::new(); targets.len()];
     while passes == 0 || Duration::from_secs_f64(out.window_s) < budget {
         let mut pass_instructions = 0;
         let pass_start = Instant::now();
         for i in orders.next_pass() {
             let t = &targets[i];
             let g = i as u64;
+            let started = Instant::now();
             let mut emu = tr.span("machine.load", g, |_| Emulator::new(&t.image));
             let called = Instant::now();
             let result =
                 tr.span("machine.exec", g, |_| emu.call_named(&t.image, &t.entry, &t.args));
             let done = Instant::now();
+            out.parts_ms[i].push((done - started).as_secs_f64() * 1e3);
             out.attempted += 1;
             let s = emu.stats();
             let w = &mut work[t.config];

@@ -43,8 +43,17 @@ pub const CORPUS_SEED: u64 = 1;
 /// each block's p99.
 const BLOCK_OPS: usize = 1000;
 
-/// Set-up is repeated this many times per run; `setup_s` is the median.
+/// Set-up is repeated at least this many times per run, and until
+/// [`SETUP_MIN_S`] has passed; `setup_s` is the median of the repeats.
 const SETUP_REPEATS: usize = 5;
+
+/// Set-ups shorter than this in total are repeated further (at most
+/// [`SETUP_MAX_REPEATS`] times), so a set-up of a few milliseconds is not
+/// read from five samples.
+const SETUP_MIN_S: f64 = 1.0;
+
+/// Upper limit on set-up repeats.
+const SETUP_MAX_REPEATS: usize = 50;
 
 /// The end-to-end metrics every run reports with tracing off: name, unit.
 /// What an "operation" is depends on the workload (see the README). The
@@ -195,6 +204,11 @@ pub struct Outcome {
     pub setup_s: Vec<f64>,
     /// Latency of every measured operation, in ms.
     pub latencies_ms: Vec<f64>,
+    /// When every operation is the same fixed sequence of parts (an execute
+    /// pass runs each image once), the latency of each part in every
+    /// operation, in ms, one list per part. Latency percentiles are then
+    /// estimated part by part (see [`part_quantile`]).
+    pub parts_ms: Vec<Vec<f64>>,
     /// Wall seconds of the measured window.
     pub window_s: f64,
     /// `(operations completed, wall seconds)` of every measured pass.
@@ -243,11 +257,14 @@ impl Outcome {
         self.window_s += wall.as_secs_f64();
     }
 
-    /// Runs `setup` [`SETUP_REPEATS`] times, timing each, and keeps the last
-    /// result.
+    /// Runs `setup` at least [`SETUP_REPEATS`] times and until
+    /// [`SETUP_MIN_S`] has passed, timing each, and keeps the last result.
     pub fn setup<T>(&mut self, mut setup: impl FnMut() -> T) -> T {
         let mut last = None;
-        for _ in 0..SETUP_REPEATS {
+        while self.setup_s.len() < SETUP_REPEATS
+            || (self.setup_s.iter().sum::<f64>() < SETUP_MIN_S
+                && self.setup_s.len() < SETUP_MAX_REPEATS)
+        {
             let start = Instant::now();
             last = Some(std::hint::black_box(setup()));
             self.setup_s.push(start.elapsed().as_secs_f64());
@@ -278,15 +295,36 @@ impl Orders {
     }
 }
 
-/// The `q`-quantile (nearest rank) of `values`; 0 when empty.
+/// The `q`-quantile of `values`, interpolated linearly between the two
+/// nearest ranks (as `statistics.quantiles(..., method="inclusive")`); 0
+/// when empty.
 pub fn quantile(values: &[f64], q: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
     let mut sorted = values.to_vec();
     sorted.sort_by(f64::total_cmp);
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
+    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    let (lo, frac) = (pos.floor() as usize, pos.fract());
+    match sorted.get(lo + 1) {
+        Some(&hi) => sorted[lo] + frac * (hi - sorted[lo]),
+        None => sorted[lo],
+    }
+}
+
+/// The `q`-quantile of an operation that is a fixed sequence of parts,
+/// estimated as the sum over parts of each part's own `q`-quantile.
+///
+/// A run holds only a handful of such operations (an execute pass takes
+/// seconds), and the host's speed drifts for seconds at a time, so the
+/// quantile of a few whole-operation latencies depends on which operation
+/// a slow stretch fell in. Each part's quantile is read from all of its
+/// runs, so one slow stretch moves only the parts that ran in it. For
+/// `q` = 0.5 this estimates the median operation; for higher `q` it is an
+/// upper estimate of the operation's tail, since every part is taken at its
+/// own tail at once.
+fn part_quantile(parts: &[Vec<f64>], q: f64) -> f64 {
+    parts.iter().map(|p| quantile(p, q)).sum()
 }
 
 /// A block of measured operations: `(wall seconds, latencies in ms)`.
@@ -390,9 +428,14 @@ fn main() {
     let per_block =
         |f: &dyn Fn(&Block) -> f64| quantile(&blocks.iter().map(f).collect::<Vec<_>>(), 0.5);
     let ops_per_s = per_block(&|b| if b.0 > 0.0 { b.1.len() as f64 / b.0 } else { 0.0 });
-    let p50 = per_block(&|b| quantile(&b.1, 0.50));
-    let p90 = per_block(&|b| quantile(&b.1, 0.90));
-    let p99 = per_block(&|b| quantile(&b.1, 0.99));
+    let op_quantile = |q: f64| {
+        if out.parts_ms.is_empty() {
+            per_block(&|b| quantile(&b.1, q))
+        } else {
+            part_quantile(&out.parts_ms, q)
+        }
+    };
+    let (p50, p90, p99) = (op_quantile(0.50), op_quantile(0.90), op_quantile(0.99));
     let rss = peak_rss_mb().unwrap_or_else(|| {
         out.failures.push("peak RSS unavailable: /proc/self/status has no VmHWM".into());
         0.0
