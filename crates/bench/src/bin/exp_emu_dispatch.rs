@@ -11,8 +11,11 @@
 //! Each shape is measured twice: with the predecoded instruction cache (the
 //! production fast path) and with it disabled (the reference interpreter that
 //! re-decodes every fetch — the differential baseline the stepper test
-//! compares against). The JSON also embeds the pre-PR numbers measured at
-//! the seed interpreter so the trajectory keeps its origin.
+//! compares against). The JSON also embeds two frozen baselines so the
+//! trajectory keeps its origin and its last step: the seed interpreter, and
+//! the commit before the direct-mapped TLBs and slot-indexed icache,
+//! measured on the same host as the current numbers. Every report records
+//! the git revision and host it was measured on.
 //!
 //! Usage: `cargo run --release -p raindrop-bench --bin exp_emu_dispatch`
 //! (`scripts/regen_bench_emu.sh` wraps this).
@@ -105,13 +108,32 @@ struct FrozenEntry {
     suite_wall_seconds: Vec<(String, f64)>,
 }
 
+/// A frozen measurement of an earlier commit on the host of `measured`.
+#[derive(Debug, Clone, Serialize)]
+struct SameHostBaseline {
+    /// What the entry describes.
+    label: String,
+    /// Commit the numbers were measured at.
+    git: String,
+    /// Host the numbers were measured on.
+    host: String,
+    /// instr/sec per workload, per mode (`fast_icache`, `reference_decode`).
+    instr_per_sec: Vec<(String, Vec<(String, f64)>)>,
+}
+
 /// Top-level report written to `BENCH_emu.json`.
 #[derive(Debug, Clone, Serialize)]
 struct Report {
     /// Schema tag for future extensions.
     schema: String,
+    /// Commit `measured` was taken at (`git rev-parse --short HEAD`).
+    git: String,
+    /// Host `measured` was taken on: logical CPUs and CPU model.
+    host: String,
     /// The pre-PR seed interpreter, measured once and frozen.
     pre_pr_baseline: FrozenEntry,
+    /// The previous dispatch design, frozen, on the same host as `measured`.
+    same_host_baseline: SameHostBaseline,
     /// Freshly measured modes.
     measured: Vec<ModeResult>,
 }
@@ -137,6 +159,55 @@ fn pre_pr_baseline() -> FrozenEntry {
             ("vm_equivalence".into(), 77.6),
             ("codegen_differential".into(), 1.2),
         ],
+    }
+}
+
+/// The commit before the direct-mapped TLBs and slot-indexed icache:
+/// one-entry data and fetch TLBs, an icache with its own `HashMap` page
+/// index, and `run()` calling `step()` once per instruction. Medians of
+/// three runs of this driver, interleaved with three runs of the commit
+/// that introduced the new design, on the host named here.
+fn same_host_baseline() -> SameHostBaseline {
+    let per_workload = |v: [f64; 3]| {
+        let names = ["straight_line", "branchy", "rop_chain"];
+        names.iter().zip(v).map(|(n, x)| (n.to_string(), x)).collect()
+    };
+    SameHostBaseline {
+        label: "one-entry TLBs, HashMap-indexed icache, run() steps through step()".into(),
+        git: "bfad32e".into(),
+        host: "2 logical CPUs, Intel(R) Xeon(R) Processor".into(),
+        instr_per_sec: vec![
+            ("fast_icache".into(), per_workload([38.01e6, 30.40e6, 25.72e6])),
+            ("reference_decode".into(), per_workload([27.83e6, 23.69e6, 20.88e6])),
+        ],
+    }
+}
+
+/// `git rev-parse --short HEAD`, or `unknown` outside a checkout.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Logical CPU count and, where `/proc/cpuinfo` names it, the CPU model.
+fn host() -> String {
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let model = std::fs::read_to_string("/proc/cpuinfo").ok().and_then(|info| {
+        info.lines()
+            .find(|l| l.starts_with("model name"))
+            .and_then(|l| l.split(':').nth(1))
+            .map(|m| m.trim().to_string())
+    });
+    match model {
+        Some(m) => format!("{cpus} logical CPUs, {m}"),
+        None => format!("{cpus} logical CPUs"),
     }
 }
 
@@ -167,7 +238,13 @@ fn main() {
         });
     }
 
-    let report =
-        Report { schema: "bench_emu/v1".into(), pre_pr_baseline: pre_pr_baseline(), measured };
+    let report = Report {
+        schema: "bench_emu/v2".into(),
+        git: git_rev(),
+        host: host(),
+        pre_pr_baseline: pre_pr_baseline(),
+        same_host_baseline: same_host_baseline(),
+        measured,
+    };
     write_json("BENCH_emu", &report);
 }

@@ -6,12 +6,21 @@
 //! concrete side of the concolic attacker. It counts instructions and an
 //! abstract cycle cost, optionally records a full [`Trace`], and can snapshot
 //! and restore its state (used by the multi-path attack tools).
+//!
+//! One generic `step_inner::<TRACING>` body defines every instruction; the
+//! trace bookkeeping is compiled out of its non-tracing copy.
+//! [`Emulator::run`] picks the copy once per run and loops over it with
+//! instruction fetch inlined, so the hot loop makes no per-step call and no
+//! per-step trace check. Fetch resolves `rip` through the memory's fetch TLB
+//! to a page slot and serves the predecoded instruction from the icache
+//! tables of that slot. [`Emulator::step`] executes the same body one
+//! instruction at a time for callers that interleave their own analysis.
 
 use crate::flags::Flags;
 use crate::icache::ICache;
 use crate::image::{Image, HEAP_BASE, HEAP_SIZE, RETURN_SENTINEL, STACK_TOP};
 use crate::inst::{AluOp, Inst, Mem};
-use crate::mem::{page_key, page_offset, Memory, PAGE_SIZE};
+use crate::mem::{page_offset, Memory, PAGE_SIZE};
 use crate::reg::Reg;
 use crate::trace::{MemAccess, Trace, TraceEntry};
 use crate::{decode, DecodeError};
@@ -78,6 +87,8 @@ pub enum EmuError {
         /// Heap break at the time of the request.
         brk: u64,
     },
+    /// [`Emulator::call_named`] was given a name the image does not define.
+    UnknownFunction(String),
 }
 
 impl fmt::Display for EmuError {
@@ -91,6 +102,7 @@ impl fmt::Display for EmuError {
             EmuError::HeapExhausted { requested, brk } => {
                 write!(f, "guest heap exhausted: {requested} bytes requested at break {brk:#x}")
             }
+            EmuError::UnknownFunction(name) => write!(f, "function `{name}` not found in image"),
         }
     }
 }
@@ -308,20 +320,20 @@ impl Emulator {
 
     /// Fetches and decodes the instruction at `rip`, through the predecoded
     /// cache when enabled.
-    #[inline]
+    #[inline(always)]
     fn fetch(&mut self) -> Result<(Inst, usize), EmuError> {
         let rip = self.cpu.rip;
-        let key = page_key(rip);
         let off = page_offset(rip);
-        let (gen, page) = self.mem.fetch_page(rip);
-        if self.icache_enabled {
-            if let Some((inst, len)) = self.icache.lookup(key, off, gen) {
+        let page = self.mem.fetch_slot(rip);
+        let cached = page.filter(|_| self.icache_enabled);
+        if let Some((slot, gen, _)) = cached {
+            if let Some((inst, len)) = self.icache.lookup(slot, off, gen) {
                 return Ok((inst, len as usize));
             }
         }
         let decoded = match page {
             // The fast path decodes straight from the resident page slice.
-            Some(bytes) if PAGE_SIZE - off >= FETCH_WINDOW => decode(&bytes[off..]),
+            Some((_, _, bytes)) if PAGE_SIZE - off >= FETCH_WINDOW => decode(&bytes[off..]),
             // Near a page boundary (or on an untouched page, which reads as
             // zeros) compose the window byte-buffer across pages.
             _ => {
@@ -331,8 +343,8 @@ impl Emulator {
             }
         };
         let (inst, len) = decoded.map_err(|source| EmuError::Decode { addr: rip, source })?;
-        if self.icache_enabled && off + len <= PAGE_SIZE {
-            self.icache.insert(key, off, gen, inst, len as u8);
+        if let Some((slot, gen, _)) = cached.filter(|_| off + len <= PAGE_SIZE) {
+            self.icache.insert(slot, off, gen, inst, len as u8);
         }
         Ok((inst, len))
     }
@@ -373,8 +385,6 @@ impl Emulator {
     ///
     /// Propagates decode faults, division by zero and budget exhaustion.
     pub fn step(&mut self) -> Result<Option<RunExit>, EmuError> {
-        // Monomorphize the hot loop twice so the non-tracing fast path
-        // carries no per-step bookkeeping for the trace structures at all.
         if self.trace.is_some() {
             self.step_inner::<true>()
         } else {
@@ -382,6 +392,7 @@ impl Emulator {
         }
     }
 
+    #[inline(always)]
     fn step_inner<const TRACING: bool>(&mut self) -> Result<Option<RunExit>, EmuError> {
         if self.cpu.rip == RETURN_SENTINEL {
             return Ok(Some(RunExit::Returned(self.cpu.reg(Reg::Rax))));
@@ -748,8 +759,16 @@ impl Emulator {
     ///
     /// Propagates any error from [`Emulator::step`].
     pub fn run(&mut self) -> Result<RunExit, EmuError> {
+        if self.trace.is_some() {
+            self.run_inner::<true>()
+        } else {
+            self.run_inner::<false>()
+        }
+    }
+
+    fn run_inner<const TRACING: bool>(&mut self) -> Result<RunExit, EmuError> {
         loop {
-            if let Some(exit) = self.step()? {
+            if let Some(exit) = self.step_inner::<TRACING>()? {
                 return Ok(exit);
             }
         }
@@ -788,10 +807,10 @@ impl Emulator {
     ///
     /// # Errors
     ///
-    /// Returns an error if the function is unknown or execution fails.
+    /// Returns [`EmuError::UnknownFunction`] if `image` has no function
+    /// `name`, and propagates any error from [`Emulator::call`].
     pub fn call_named(&mut self, image: &Image, name: &str, args: &[u64]) -> Result<u64, EmuError> {
-        let f =
-            image.function(name).unwrap_or_else(|_| panic!("function `{name}` not found in image"));
+        let f = image.function(name).map_err(|_| EmuError::UnknownFunction(name.to_string()))?;
         self.call(f.addr, args)
     }
 }
@@ -931,6 +950,20 @@ mod tests {
         emu.set_budget(1000);
         let err = emu.call_named(&img, "spin", &[]).unwrap_err();
         assert!(matches!(err, EmuError::BudgetExceeded { .. }));
+    }
+
+    #[test]
+    fn unknown_function_is_a_typed_error() {
+        let mut asm = Assembler::new();
+        asm.inst(Inst::Ret);
+        let mut b = ImageBuilder::new();
+        b.add_function("f", asm);
+        let img = b.build().unwrap();
+        let mut emu = Emulator::new(&img);
+        let err = emu.call_named(&img, "missing", &[]).unwrap_err();
+        assert_eq!(err, EmuError::UnknownFunction("missing".into()));
+        assert_eq!(err.to_string(), "function `missing` not found in image");
+        assert_eq!(emu.stats(), ExecStats::default(), "nothing ran");
     }
 
     #[test]

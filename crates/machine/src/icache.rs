@@ -14,14 +14,14 @@
 //! their bytes span two pages and a single generation tag could not cover
 //! both. They fall back to the decode-per-fetch slow path, which is exact.
 //!
-//! Like [`Memory`](crate::mem::Memory), the cache keeps its per-page tables
-//! in a flat `Vec` with a `HashMap` index and a one-entry last-page fast
-//! path, so a fetch that stays on the same page as the previous one touches
-//! no hash table at all.
+//! The run tables are indexed by the memory's page slot, which
+//! [`Memory::fetch_slot`](crate::mem::Memory::fetch_slot) returns from its
+//! fetch TLB and which stays fixed for the memory's lifetime. A cache hit
+//! therefore costs one TLB probe and two array loads, with no hash table of
+//! its own. Untouched pages have no slot and are never cached.
 
 use crate::inst::Inst;
 use crate::mem::PAGE_SIZE;
-use std::collections::HashMap;
 
 /// A decoded instruction and its encoded length in bytes.
 pub(crate) type Decoded = (Inst, u8);
@@ -52,56 +52,23 @@ impl PageRuns {
 }
 
 /// The predecoded instruction cache. One per [`Emulator`](crate::Emulator).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ICache {
-    pages: Vec<PageRuns>,
-    index: HashMap<u64, u32>,
-    /// Last page resolved: `(page key, slot)`; `u64::MAX` when empty.
-    last: (u64, u32),
-}
-
-impl Default for ICache {
-    fn default() -> Self {
-        ICache { pages: Vec::new(), index: HashMap::new(), last: (u64::MAX, 0) }
-    }
+    /// Run tables by memory page slot; `None` for pages never fetched from.
+    pages: Vec<Option<PageRuns>>,
 }
 
 impl ICache {
-    /// Resolves (and revalidates) the run table for page `key` at memory
-    /// generation `gen`, creating it on first use.
-    #[inline]
-    fn page_slot(&mut self, key: u64, gen: u64) -> usize {
-        let slot = if self.last.0 == key {
-            self.last.1 as usize
-        } else {
-            match self.index.get(&key) {
-                Some(&s) => {
-                    self.last = (key, s);
-                    s as usize
-                }
-                None => {
-                    let s = self.pages.len();
-                    assert!(s < u32::MAX as usize, "icache page count overflow");
-                    self.pages.push(PageRuns::new(gen));
-                    self.index.insert(key, s as u32);
-                    self.last = (key, s as u32);
-                    return s;
-                }
-            }
-        };
-        let runs = &mut self.pages[slot];
+    /// Looks up the decoded instruction at offset `off` of the page in
+    /// memory slot `slot`, if it was decoded at memory generation `gen`.
+    /// Runs from any other generation are dropped.
+    #[inline(always)]
+    pub(crate) fn lookup(&mut self, slot: usize, off: usize, gen: u64) -> Option<Decoded> {
+        let runs = self.pages.get_mut(slot)?.as_mut()?;
         if runs.gen != gen {
             runs.clear(gen);
+            return None;
         }
-        slot
-    }
-
-    /// Looks up the decoded instruction at (`key`, `off`) if it was decoded
-    /// at memory generation `gen`.
-    #[inline]
-    pub(crate) fn lookup(&mut self, key: u64, off: usize, gen: u64) -> Option<Decoded> {
-        let slot = self.page_slot(key, gen);
-        let runs = &self.pages[slot];
         let idx = runs.slots[off];
         if idx == NO_SLOT {
             return None;
@@ -109,19 +76,20 @@ impl ICache {
         Some(runs.insts[idx as usize])
     }
 
-    /// Records the decoded instruction at (`key`, `off`) for memory
-    /// generation `gen`. The caller must ensure the instruction's bytes lie
-    /// entirely within the page.
-    #[inline]
-    pub(crate) fn insert(&mut self, key: u64, off: usize, gen: u64, inst: Inst, len: u8) {
+    /// Records the decoded instruction at (`slot`, `off`) for memory
+    /// generation `gen`, dropping the page's runs from any other generation.
+    /// The caller must ensure the instruction's bytes lie entirely within
+    /// the page.
+    pub(crate) fn insert(&mut self, slot: usize, off: usize, gen: u64, inst: Inst, len: u8) {
         debug_assert!(off + len as usize <= PAGE_SIZE, "straddling instructions are not cached");
-        let slot = self.page_slot(key, gen);
-        let runs = &mut self.pages[slot];
-        if runs.insts.len() >= NO_SLOT as usize {
-            // A page can hold at most PAGE_SIZE decode starts, which is
-            // below NO_SLOT; this is unreachable but cheap to guard.
-            return;
+        if slot >= self.pages.len() {
+            self.pages.resize_with(slot + 1, || None);
         }
+        let runs = self.pages[slot].get_or_insert_with(|| PageRuns::new(gen));
+        if runs.gen != gen {
+            runs.clear(gen);
+        }
+        // A page holds at most PAGE_SIZE decode starts, below NO_SLOT.
         runs.slots[off] = runs.insts.len() as u16;
         runs.insts.push((inst, len));
     }

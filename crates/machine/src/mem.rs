@@ -6,11 +6,14 @@
 //!
 //! The layout is built for the emulator's hot path: resident pages live in a
 //! flat `Vec` (stable slots — pages are never moved or evicted, only zeroed
-//! by [`Memory::restore_from`]) with a `HashMap` index from page key to slot,
-//! and two one-entry TLBs — one for the data path, one for instruction fetch
-//! — short-circuit the index probe for the common same-page-as-last-time
-//! case. Word and bulk accesses operate on page slices with chunked copies
-//! instead of byte-at-a-time probes.
+//! by [`Memory::restore_from`]) with a `HashMap` index from page key to slot.
+//! Two direct-mapped TLBs of [`TLB_ENTRIES`] entries each — one for the data
+//! path, one for instruction fetch — sit in front of the index. An entry is
+//! chosen by the low bits of the page key, so the handful of pages a ROP
+//! chain alternates between (text, chain, stack, data) each keep their own
+//! entry and the index is probed only on a TLB miss. Because slots are
+//! stable, a TLB entry never goes stale. Word and bulk accesses operate on
+//! page slices with chunked copies instead of byte-at-a-time probes.
 //!
 //! Every page carries a **generation counter**, bumped on each write that
 //! touches it. The emulator's predecoded instruction cache tags its decoded
@@ -44,6 +47,13 @@ pub fn page_offset(addr: u64) -> usize {
 /// TLB sentinel: no page key is ever `u64::MAX` (keys are `addr >> 12`).
 const NO_PAGE: u64 = u64::MAX;
 
+/// Entries in each direct-mapped TLB; page key `k` lives in entry
+/// `k % TLB_ENTRIES`.
+pub const TLB_ENTRIES: usize = 64;
+
+/// A direct-mapped TLB: `(page key, slot)` per entry.
+type Tlb = [Cell<(u64, u32)>; TLB_ENTRIES];
+
 #[derive(Debug, Clone)]
 struct Page {
     /// Write generation: starts at 1 when the page is first touched and is
@@ -59,20 +69,16 @@ pub struct Memory {
     pages: Vec<Page>,
     /// Page key → slot in `pages`.
     index: HashMap<u64, u32>,
-    /// Last page resolved by the data path: `(page key, slot)`.
-    data_tlb: Cell<(u64, u32)>,
-    /// Last page resolved by instruction fetch: `(page key, slot)`.
-    fetch_tlb: Cell<(u64, u32)>,
+    /// Data-path TLB.
+    data_tlb: Tlb,
+    /// Instruction-fetch TLB, so data traffic does not evict fetch entries.
+    fetch_tlb: Tlb,
 }
 
 impl Default for Memory {
     fn default() -> Self {
-        Memory {
-            pages: Vec::new(),
-            index: HashMap::new(),
-            data_tlb: Cell::new((NO_PAGE, 0)),
-            fetch_tlb: Cell::new((NO_PAGE, 0)),
-        }
+        let empty = || std::array::from_fn(|_| Cell::new((NO_PAGE, 0)));
+        Memory { pages: Vec::new(), index: HashMap::new(), data_tlb: empty(), fetch_tlb: empty() }
     }
 }
 
@@ -83,14 +89,15 @@ impl Memory {
     }
 
     /// Resolves `key` to a slot through a TLB, falling back to the index.
-    #[inline]
-    fn slot_via(&self, key: u64, tlb: &Cell<(u64, u32)>) -> Option<usize> {
-        let (k, s) = tlb.get();
+    #[inline(always)]
+    fn slot_via(&self, key: u64, tlb: &Tlb) -> Option<usize> {
+        let entry = &tlb[key as usize % TLB_ENTRIES];
+        let (k, s) = entry.get();
         if k == key {
             return Some(s as usize);
         }
         let s = *self.index.get(&key)?;
-        tlb.set((key, s));
+        entry.set((key, s));
         Some(s as usize)
     }
 
@@ -113,7 +120,7 @@ impl Memory {
                 assert!(s < u32::MAX as usize, "guest memory page count overflow");
                 self.pages.push(Page { gen: 0, bytes: Box::new([0u8; PAGE_SIZE]) });
                 self.index.insert(key, s as u32);
-                self.data_tlb.set((key, s as u32));
+                self.data_tlb[key as usize % TLB_ENTRIES].set((key, s as u32));
                 s
             }
         };
@@ -214,19 +221,16 @@ impl Memory {
         }
     }
 
-    /// Instruction-fetch view of `addr`'s page, resolved through the
-    /// dedicated fetch TLB so data traffic does not evict the fetch entry:
-    /// returns the page's generation and its full byte array (`None` when
-    /// the page is untouched, in which case the generation is 0).
-    #[inline]
-    pub fn fetch_page(&self, addr: u64) -> (u64, Option<&[u8; PAGE_SIZE]>) {
-        match self.slot_via(page_key(addr), &self.fetch_tlb) {
-            Some(slot) => {
-                let p = &self.pages[slot];
-                (p.gen, Some(&p.bytes))
-            }
-            None => (0, None),
-        }
+    /// Instruction-fetch view of `addr`'s page, resolved through the fetch
+    /// TLB: the page's slot, its generation and its full byte array, or
+    /// `None` when the page is untouched. The slot identifies the page for
+    /// the lifetime of this memory (restores and clones keep it), so callers
+    /// may index their own per-page tables by it.
+    #[inline(always)]
+    pub fn fetch_slot(&self, addr: u64) -> Option<(usize, u64, &[u8; PAGE_SIZE])> {
+        let slot = self.slot_via(page_key(addr), &self.fetch_tlb)?;
+        let p = &self.pages[slot];
+        Some((slot, p.gen, &p.bytes))
     }
 
     /// Reverts this memory to the contents of `other`, reusing resident page
@@ -330,13 +334,24 @@ mod tests {
     #[test]
     fn fetch_page_sees_data_writes() {
         let mut m = Memory::new();
-        let (gen, page) = m.fetch_page(0x7000);
-        assert_eq!(gen, 0);
-        assert!(page.is_none());
+        assert!(m.fetch_slot(0x7000).is_none());
         m.write_u8(0x7004, 0xAB);
-        let (gen, page) = m.fetch_page(0x7000);
-        assert_eq!(gen, 1);
-        assert_eq!(page.unwrap()[4], 0xAB);
+        let (slot, gen, page) = m.fetch_slot(0x7000).unwrap();
+        assert_eq!((slot, gen, page[4]), (0, 1, 0xAB));
+    }
+
+    #[test]
+    fn colliding_keys_share_a_tlb_entry_without_confusion() {
+        let mut m = Memory::new();
+        let stride = (TLB_ENTRIES * PAGE_SIZE) as u64;
+        m.write_u64(0x3000, 1);
+        m.write_u64(0x3000 + stride, 2);
+        for _ in 0..2 {
+            assert_eq!(m.read_u64(0x3000), 1);
+            assert_eq!(m.read_u64(0x3000 + stride), 2);
+            assert_eq!(m.fetch_slot(0x3000).unwrap().0, 0);
+            assert_eq!(m.fetch_slot(0x3000 + stride).unwrap().0, 1);
+        }
     }
 
     #[test]

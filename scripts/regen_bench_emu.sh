@@ -4,9 +4,10 @@
 # Runs the exp_emu_dispatch driver (release build), which measures guest
 # instructions/sec on the straight-line / branchy / rop-chain workloads in
 # both dispatch modes (predecoded icache vs reference re-decode) and rewrites
-# BENCH_emu.json in the repository root. The pre-PR seed-interpreter baseline
-# is embedded in the driver and carried over unchanged, so the file always
-# keeps the trajectory's origin.
+# BENCH_emu.json in the repository root, stamped with the git revision and
+# host it ran on. Two frozen baselines are embedded in the driver and carried
+# over unchanged: the seed interpreter (the trajectory's origin) and the
+# previous dispatch design measured on the same host as the current numbers.
 #
 # Run from the repository root:
 #   sh scripts/regen_bench_emu.sh
