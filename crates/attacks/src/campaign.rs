@@ -33,12 +33,15 @@
 //!
 //! * slices that panic are retried with exponential backoff up to
 //!   [`CampaignConfig::max_retries`], then recorded as `Failed`;
-//! * slices exceeding [`CampaignConfig::slice_timeout`] are cancelled and
-//!   requeued under the same handle ([`Scheduler::requeue`]);
-//! * jobs whose accumulated wall exceeds
+//! * slices that *run* longer than [`CampaignConfig::slice_timeout`] are
+//!   cancelled and requeued under the same handle ([`Scheduler::requeue`]);
+//!   the clock starts when a worker picks the attempt up, so time spent
+//!   waiting in the queue never counts against it;
+//! * jobs whose own accumulated run wall exceeds
 //!   [`CampaignConfig::straggler_factor`] × the median wall of completed
-//!   jobs are demoted to low priority (and their queued slice is requeued
-//!   there), so one pathological attack cannot starve the campaign;
+//!   jobs are demoted: their *next* slices queue at low priority, so one
+//!   pathological attack cannot starve the campaign. The slice in flight
+//!   keeps running and its result is kept — demotion never discards work;
 //! * a [`FaultPlan`] injects the failures the integration tests drive:
 //!   kill the campaign after K checkpoint writes (optionally flipping or
 //!   truncating checkpoint bytes, simulating a torn write at crash time)
@@ -61,7 +64,7 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Magic of the campaign checkpoint log.
@@ -85,12 +88,15 @@ pub struct CampaignConfig {
     pub max_retries: u32,
     /// Base backoff before retrying a failed slice; doubles per attempt.
     pub retry_backoff: Duration,
-    /// Wall limit for one slice in flight; beyond it the slice is
+    /// Run-time limit for one slice attempt, measured from when a worker
+    /// starts it (queue wait does not count); beyond it the slice is
     /// cancelled and requeued (counting one retry).
     pub slice_timeout: Duration,
-    /// A job is a straggler when its accumulated wall exceeds this factor
-    /// times the median wall of completed jobs (0 demotes anything still
-    /// running once the median exists — useful in tests).
+    /// A job is a straggler when its own accumulated run wall, as of its
+    /// last checkpointed slice, exceeds this factor times the median wall
+    /// of completed jobs. Demotion queues the job's next slices at low
+    /// priority; the slice in flight is left alone (0 demotes any job that
+    /// has checkpointed a slice once the median exists — useful in tests).
     pub straggler_factor: u32,
     /// Completed jobs required before the straggler median is trusted.
     pub straggler_after: usize,
@@ -220,6 +226,11 @@ pub struct CampaignStats {
     pub retries: u64,
     /// Jobs demoted to low priority by the straggler defense.
     pub stragglers_demoted: u64,
+    /// Slice attempts that ran to completion but whose result was thrown
+    /// away because a timeout requeued the slice (the requeued attempt
+    /// re-runs it from the same frontier). Straggler demotion never
+    /// supersedes an attempt.
+    pub slices_superseded: u64,
     /// Jobs restored as `Done`/`Failed` straight from the log.
     pub jobs_recovered: usize,
     /// Jobs resumed mid-exploration from an `InFlight` frontier.
@@ -399,8 +410,9 @@ struct JobSlot {
     resolved: Option<JobState>,
     /// The in-flight slice, when one is scheduled.
     handle: Option<JobHandle<SliceRun>>,
-    /// When the in-flight slice was submitted.
-    slice_started: Instant,
+    /// When a worker started the in-flight attempt; unset while it waits
+    /// in the queue.
+    started: Arc<OnceLock<Instant>>,
     /// Consecutive failed attempts of the current slice.
     attempts: u32,
     /// Wall accumulated across this job's finished slices.
@@ -408,6 +420,17 @@ struct JobSlot {
     demoted: bool,
     /// One-shot worker-panic fault still to fire.
     panic_armed: bool,
+}
+
+impl JobSlot {
+    /// Scheduler priority of the job's next slice.
+    fn priority(&self) -> i32 {
+        if self.demoted {
+            -1
+        } else {
+            0
+        }
+    }
 }
 
 /// A checkpointed, resumable attack campaign over one directory.
@@ -526,7 +549,7 @@ impl Campaign {
                         if kill {
                             break 'drive true;
                         }
-                        self.scan_stragglers(&sched, &mut slots, &completed_walls);
+                        self.scan_stragglers(&mut slots, &completed_walls);
                     }
                     JobOutcome::Completed(SliceRun::Paused(frontier)) => {
                         slots[i].attempts = 0;
@@ -588,7 +611,7 @@ impl Campaign {
                     frontier: None,
                     resolved: None,
                     handle: None,
-                    slice_started: Instant::now(),
+                    started: Arc::default(),
                     attempts: 0,
                     wall: Duration::ZERO,
                     demoted: false,
@@ -618,28 +641,41 @@ impl Campaign {
 
     /// Submits the next slice of `slot` at its current priority.
     fn submit_slice(&mut self, sched: &Scheduler<()>, slot: &mut JobSlot) {
+        let panic_fault = std::mem::take(&mut slot.panic_armed);
+        let run = self.next_attempt(slot, panic_fault);
+        self.stats.slices_run += 1;
+        slot.handle = Some(sched.submit_prio(slot.priority(), run));
+    }
+
+    /// The scheduler closure for a new attempt at `slot`'s next slice. The
+    /// attempt stamps its own start clock when a worker picks it up.
+    fn next_attempt(
+        &self,
+        slot: &mut JobSlot,
+        panic_fault: bool,
+    ) -> impl FnOnce(&mut (), &JobCtl) -> SliceRun + Send + 'static {
         let job = Arc::clone(&slot.job);
         let from = slot.frontier.clone();
         let slice = self.config.slice.max(1);
-        let panic_fault = std::mem::take(&mut slot.panic_armed);
-        let priority = if slot.demoted { -1 } else { 0 };
-        slot.slice_started = Instant::now();
-        self.stats.slices_run += 1;
-        slot.handle = Some(sched.submit_prio(priority, move |_: &mut (), _: &JobCtl| {
+        let started = Arc::new(OnceLock::new());
+        slot.started = Arc::clone(&started);
+        move |_: &mut (), _: &JobCtl| {
+            started.get_or_init(Instant::now);
             run_slice(&job, from.as_ref(), slice, panic_fault)
-        }));
+        }
     }
 
-    /// Timeout policing of an in-flight slice: hands the handle back when
-    /// within budget, otherwise cancels and requeues (or fails the job once
-    /// retries are exhausted).
+    /// Timeout policing of an in-flight slice: hands the handle back while
+    /// the attempt has run for at most `slice_timeout` (an attempt still
+    /// queued has not run at all), otherwise cancels and requeues it (or
+    /// fails the job once retries are exhausted).
     fn police_slice(
         &mut self,
         sched: &Scheduler<()>,
         slot: &mut JobSlot,
         handle: JobHandle<SliceRun>,
     ) -> io::Result<()> {
-        if slot.slice_started.elapsed() <= self.config.slice_timeout {
+        if slot.started.get().is_none_or(|t| t.elapsed() <= self.config.slice_timeout) {
             slot.handle = Some(handle);
             return Ok(());
         }
@@ -658,19 +694,15 @@ impl Campaign {
             return Ok(());
         }
         self.stats.retries += 1;
-        let job = Arc::clone(&slot.job);
-        let from = slot.frontier.clone();
-        let slice = self.config.slice.max(1);
-        let priority = if slot.demoted { -1 } else { 0 };
-        slot.slice_started = Instant::now();
-        let superseded = sched.requeue(&handle, priority, move |_: &mut (), _: &JobCtl| {
-            run_slice(&job, from.as_ref(), slice, false)
-        });
+        let run = self.next_attempt(slot, false);
+        let superseded = sched.requeue(&handle, slot.priority(), run);
         // If the cancel lost the race and the old attempt completed, its
         // result is superseded by the requeued attempt, which re-runs the
         // same slice from the same frontier — deterministic duplicate work,
         // never divergent state.
-        drop(superseded);
+        if matches!(superseded.outcome, JobOutcome::Completed(_)) {
+            self.stats.slices_superseded += 1;
+        }
         slot.handle = Some(handle);
         std::thread::sleep(self.backoff(slot.attempts));
         Ok(())
@@ -701,14 +733,11 @@ impl Campaign {
         self.config.retry_backoff * 2u32.saturating_pow(attempts.saturating_sub(1).min(16))
     }
 
-    /// Demotes jobs whose accumulated wall exceeds the straggler cap and
-    /// requeues their queued slice at low priority under the same handle.
-    fn scan_stragglers(
-        &mut self,
-        sched: &Scheduler<()>,
-        slots: &mut [JobSlot],
-        completed_walls: &[Duration],
-    ) {
+    /// Demotes open jobs whose own accumulated run wall (`slot.wall`, as of
+    /// their last checkpointed slice) exceeds the straggler cap. Demotion
+    /// only lowers the priority of a job's next slices: the slice in flight
+    /// is neither cancelled nor requeued, so no work is thrown away.
+    fn scan_stragglers(&mut self, slots: &mut [JobSlot], completed_walls: &[Duration]) {
         if completed_walls.len() < self.config.straggler_after.max(1) {
             return;
         }
@@ -716,25 +745,9 @@ impl Campaign {
         sorted.sort();
         let cap = sorted[sorted.len() / 2] * self.config.straggler_factor;
         for slot in slots.iter_mut() {
-            if slot.resolved.is_some() || slot.demoted {
-                continue;
-            }
-            if slot.wall + slot.slice_started.elapsed() <= cap {
-                continue;
-            }
-            slot.demoted = true;
-            self.stats.stragglers_demoted += 1;
-            if let Some(handle) = slot.handle.take() {
-                handle.cancel();
-                let job = Arc::clone(&slot.job);
-                let from = slot.frontier.clone();
-                let slice = self.config.slice.max(1);
-                slot.slice_started = Instant::now();
-                let superseded = sched.requeue(&handle, -1, move |_: &mut (), _: &JobCtl| {
-                    run_slice(&job, from.as_ref(), slice, false)
-                });
-                drop(superseded);
-                slot.handle = Some(handle);
+            if slot.resolved.is_none() && !slot.demoted && slot.wall > cap {
+                slot.demoted = true;
+                self.stats.stragglers_demoted += 1;
             }
         }
     }

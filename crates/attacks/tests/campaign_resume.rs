@@ -5,7 +5,7 @@
 //! state (demoting jobs to a restart); it can never alter it.
 
 use raindrop_attacks::campaign::{
-    replay_log, Campaign, CampaignConfig, CampaignReport, CampaignStatus, FaultPlan,
+    replay_log, Campaign, CampaignConfig, CampaignReport, CampaignStatus, FaultPlan, JobState,
 };
 use raindrop_attacks::concolic::{DseBudget, DseOutcome, Goal, InputSpec};
 use raindrop_attacks::fleet::DseJob;
@@ -84,6 +84,33 @@ fn make_jobs() -> Vec<DseJob> {
             Goal::Secret { want: 1 },
         ),
     ]
+}
+
+/// `n` copies of one job under distinct labels: identical work, so every
+/// job's own run wall is comparable to every other's.
+fn copies(n: usize) -> Vec<DseJob> {
+    let (name, structure) = paper_structures().into_iter().nth(3).unwrap();
+    let f = generate_randomfun(raindrop_synth::RandomFunConfig {
+        structure,
+        structure_name: name,
+        input_size: 4,
+        seed: 7,
+        goal: RfGoal::SecretFinding,
+        loop_size: 4,
+    });
+    let image = codegen::compile(&f.program).unwrap();
+    (0..n)
+        .map(|i| {
+            DseJob::new(
+                format!("copy-{i}"),
+                image.clone(),
+                &f.name,
+                InputSpec::RegisterArg { size_bytes: 4 },
+                logical_budget(),
+                Goal::Secret { want: 1 },
+            )
+        })
+        .collect()
 }
 
 /// Slice of 1 path: every checkpoint boundary is a potential kill site.
@@ -309,7 +336,7 @@ fn panic_injection_retries_and_converges() {
 fn straggler_demotion_keeps_results_correct() {
     let reference = run_uninterrupted("ref-straggler");
 
-    // Factor 0 makes *any* in-flight job a straggler once two jobs have
+    // Factor 0 makes any job that has checkpointed a slice a straggler once two jobs have
     // completed; a single worker guarantees the third job is still open at
     // that point. Demotion must only reprioritize, never change results.
     let config =
@@ -341,4 +368,81 @@ fn finished_jobs_replay_without_reexecution() {
     assert!(third.completed());
     assert_eq!(third.stats.jobs_restarted, 1, "only the changed job restarted");
     assert_eq!(third.stats.jobs_recovered, 2, "unchanged jobs replayed from the log");
+}
+
+#[test]
+fn demotion_never_reruns_work() {
+    let reference = run_uninterrupted("ref-demote");
+
+    // Factor 0 demotes every open job that has checkpointed a slice once
+    // two jobs have completed. Demotion lowers the priority of the job's
+    // next slices; the slice in flight must run on and keep its result.
+    let config =
+        CampaignConfig { workers: 2, straggler_factor: 0, straggler_after: 2, ..test_config() };
+    let report = Campaign::open(fresh_dir("demote"), config).unwrap().run(make_jobs()).unwrap();
+    assert!(report.stats.stragglers_demoted >= 1, "an open job was demoted");
+    assert_eq!(report.stats.slices_superseded, 0, "no completed slice was thrown away");
+    assert_same_results("demote", &reference, &report);
+}
+
+#[test]
+fn queue_wait_never_demotes() {
+    // Identical two-slice jobs on one worker under the default straggler
+    // settings: every job's own run wall matches the completed jobs', yet
+    // by the time two jobs finish the others have spent many slices'
+    // worth of wall waiting in the queue.
+    let defaults = CampaignConfig::default();
+    let config = CampaignConfig {
+        workers: 1,
+        slice: 2,
+        straggler_factor: defaults.straggler_factor,
+        straggler_after: defaults.straggler_after,
+        ..test_config()
+    };
+    let report = Campaign::open(fresh_dir("queue-wait"), config).unwrap().run(copies(16)).unwrap();
+    assert!(report.completed());
+    assert!(report.stats.slices_run > 16, "jobs span more than one slice");
+    assert_eq!(report.stats.stragglers_demoted, 0, "queue wait is not run time");
+}
+
+#[test]
+fn slice_timeout_counts_run_time_not_queue_wait() {
+    // Whole jobs in one slice on one worker: the jobs run back to back, so
+    // the last one to run waits in the queue for every other job's wall.
+    let one_slice = CampaignConfig { workers: 1, slice: 1000, ..test_config() };
+    let calibration = Campaign::open(fresh_dir("ref-timeout"), one_slice.clone())
+        .unwrap()
+        .run(copies(8))
+        .unwrap();
+    let mut walls: Vec<Duration> =
+        calibration.jobs.iter().map(|j| j.outcome().expect("calibration job done").wall).collect();
+    walls.sort();
+    // A timeout far above every calibration slice, and enough jobs that
+    // their queue wait alone would be about four times the timeout.
+    let timeout = walls[walls.len() - 1] * 8;
+    let jobs = (4 * timeout.as_nanos() / walls[walls.len() / 2].as_nanos().max(1)) as usize + 1;
+
+    let config = CampaignConfig { slice_timeout: timeout, ..one_slice };
+    let report = Campaign::open(fresh_dir("timeout"), config).unwrap().run(copies(jobs)).unwrap();
+
+    // The premise, from this run's measured walls: no slice came near the
+    // timeout, yet the last job to run queued for well over it.
+    let walls: Vec<Duration> =
+        report.jobs.iter().filter_map(|j| j.outcome()).map(|o| o.wall).collect();
+    let longest = *walls.iter().max().unwrap();
+    let queued = walls.iter().sum::<Duration>() - longest;
+    assert!(longest * 2 < timeout, "every slice ran far below the timeout");
+    assert!(queued > timeout * 2, "the last job queued for over twice the timeout");
+
+    assert_eq!(report.stats.retries, 0, "no slice timed out");
+    assert!(
+        report.jobs.iter().all(|j| !matches!(j.state, JobState::Failed { .. })),
+        "no job failed"
+    );
+    let reference = &calibration.jobs[0];
+    for job in &report.jobs {
+        let outcome = job.outcome().unwrap_or_else(|| panic!("`{}` done", job.label));
+        assert_same_outcome(&job.label, reference.outcome().unwrap(), outcome);
+        assert_eq!(reference.audit(), job.audit(), "[{}] same exploration schedule", job.label);
+    }
 }

@@ -18,6 +18,11 @@
 //! schedules — the driver *asserts* this before writing
 //! `BENCH_campaign.json` (`scripts/regen_bench_campaign.sh` wraps this).
 //!
+//! The report records the git revision and host it was measured on, the
+//! straggler-defense counters of the uninterrupted run (demotions, and
+//! completed slices thrown away by a requeue — asserted zero), and a frozen
+//! same-host baseline of the previous straggler defense.
+//!
 //! `--smoke` runs a CI-sized corpus through the same scripted
 //! kill-and-resume cycle and all assertions, without rewriting the JSON.
 
@@ -28,7 +33,7 @@ use raindrop::{Rewriter, RopConfig};
 use raindrop_attacks::campaign::{Campaign, CampaignConfig, CampaignReport, FaultPlan};
 use raindrop_attacks::concolic::{DseAttack, DseAudit, DseBudget, DseOutcome, Goal, InputSpec};
 use raindrop_attacks::fleet::DseJob;
-use raindrop_bench::write_json;
+use raindrop_bench::{git_rev, host, write_json};
 use raindrop_synth::{codegen, generate_randomfun, paper_structures, Goal as RfGoal, RandomFun};
 use serde::Serialize;
 use std::path::PathBuf;
@@ -45,6 +50,36 @@ struct CheckpointCost {
     write_wall_seconds: f64,
     /// Campaign wall / direct wall — everything orchestration adds.
     campaign_over_direct: f64,
+}
+
+/// Straggler-defense counters of the uninterrupted run.
+#[derive(Debug, Clone, Serialize)]
+struct Stragglers {
+    /// Jobs demoted to low priority as stragglers.
+    demoted: u64,
+    /// Completed slice attempts whose result a requeue threw away.
+    slices_superseded: u64,
+}
+
+/// A frozen measurement of an earlier commit on the host of the report.
+#[derive(Debug, Clone, Serialize)]
+struct SameHostBaseline {
+    /// What the entry describes.
+    label: String,
+    /// Commit the numbers were measured at.
+    git: String,
+    /// Host the numbers were measured on.
+    host: String,
+    /// Wall seconds running every job standalone, sequentially.
+    direct_wall_seconds: f64,
+    /// Wall seconds of the uninterrupted campaign.
+    campaign_wall_seconds: f64,
+    /// Campaign wall / direct wall.
+    campaign_over_direct: f64,
+    /// Jobs demoted as stragglers in the uninterrupted campaign.
+    stragglers_demoted: u64,
+    /// Completed slices thrown away by a requeue in that campaign.
+    slices_superseded: u64,
 }
 
 /// Cost of the scripted kill-and-resume cycle.
@@ -69,6 +104,12 @@ struct ResumeCost {
 #[derive(Debug, Clone, Serialize)]
 struct Report {
     schema: String,
+    /// Commit the report was measured at (`git rev-parse --short HEAD`).
+    git: String,
+    /// Host the report was measured on: logical CPUs and CPU model.
+    host: String,
+    /// The previous straggler defense, frozen, on the same host.
+    same_host_baseline: SameHostBaseline,
     /// Job labels, in campaign order.
     jobs: Vec<String>,
     /// Wall seconds running every job standalone, sequentially.
@@ -76,6 +117,7 @@ struct Report {
     /// Wall seconds of the uninterrupted campaign.
     campaign_wall_seconds: f64,
     checkpoint: CheckpointCost,
+    stragglers: Stragglers,
     resume: ResumeCost,
     /// All three phases produced identical per-job results (asserted).
     verdicts_match: bool,
@@ -172,6 +214,26 @@ fn make_jobs(smoke: bool) -> Vec<DseJob> {
     jobs
 }
 
+/// The commit before straggler demotion stopped requeuing the running
+/// slice: its straggler clock counted queue wait, so nearly every open job
+/// was demoted, and each demotion blocked the driver until the running
+/// slice finished, then discarded its result and queued it again. Per-field
+/// medians of five runs of this driver (`campaign_over_direct` is the
+/// median of the per-run ratios), interleaved with five runs of the commit
+/// that fixed it, on the host named here.
+fn same_host_baseline() -> SameHostBaseline {
+    SameHostBaseline {
+        label: "straggler clock counts queue wait; demotion requeues the running slice".into(),
+        git: "6dc6231".into(),
+        host: "2 logical CPUs, Intel(R) Xeon(R) Processor".into(),
+        direct_wall_seconds: 0.552,
+        campaign_wall_seconds: 0.826,
+        campaign_over_direct: 1.449,
+        stragglers_demoted: 5,
+        slices_superseded: 5,
+    }
+}
+
 fn config() -> CampaignConfig {
     CampaignConfig {
         workers: 2,
@@ -252,6 +314,11 @@ fn main() {
         stats.checkpoint_bytes,
         stats.checkpoint_write_wall.as_secs_f64()
     );
+    println!(
+        "           {} stragglers demoted  {} slices superseded",
+        stats.stragglers_demoted, stats.slices_superseded
+    );
+    assert_eq!(stats.slices_superseded, 0, "no completed slice was thrown away");
     let _ = std::fs::remove_dir_all(&dir);
 
     // Phase 3: kill mid-campaign, then resume a fresh driver on the same
@@ -296,7 +363,10 @@ fn main() {
         return;
     }
     let report = Report {
-        schema: "bench_campaign/v1".into(),
+        schema: "bench_campaign/v2".into(),
+        git: git_rev(),
+        host: host(),
+        same_host_baseline: same_host_baseline(),
         jobs: labels,
         direct_wall_seconds: direct_wall,
         campaign_wall_seconds: campaign_wall,
@@ -305,6 +375,10 @@ fn main() {
             bytes: stats.checkpoint_bytes,
             write_wall_seconds: stats.checkpoint_write_wall.as_secs_f64(),
             campaign_over_direct: campaign_wall / direct_wall.max(1e-9),
+        },
+        stragglers: Stragglers {
+            demoted: stats.stragglers_demoted,
+            slices_superseded: stats.slices_superseded,
         },
         resume: ResumeCost {
             kill_after_checkpoints: kill_after,

@@ -23,7 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use raindrop_bench::{prepare_image, straight_line_image, write_json, ObfKind};
+use raindrop_bench::{git_rev, host, prepare_image, straight_line_image, write_json, ObfKind};
 use raindrop_machine::{Emulator, Image};
 use raindrop_synth::workloads;
 use serde::Serialize;
@@ -180,34 +180,6 @@ fn same_host_baseline() -> SameHostBaseline {
             ("fast_icache".into(), per_workload([38.01e6, 30.40e6, 25.72e6])),
             ("reference_decode".into(), per_workload([27.83e6, 23.69e6, 20.88e6])),
         ],
-    }
-}
-
-/// `git rev-parse --short HEAD`, or `unknown` outside a checkout.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
-}
-
-/// Logical CPU count and, where `/proc/cpuinfo` names it, the CPU model.
-fn host() -> String {
-    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let model = std::fs::read_to_string("/proc/cpuinfo").ok().and_then(|info| {
-        info.lines()
-            .find(|l| l.starts_with("model name"))
-            .and_then(|l| l.split(':').nth(1))
-            .map(|m| m.trim().to_string())
-    });
-    match model {
-        Some(m) => format!("{cpus} logical CPUs, {m}"),
-        None => format!("{cpus} logical CPUs"),
     }
 }
 

@@ -516,6 +516,34 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
+/// `git rev-parse --short HEAD`, or `unknown` outside a checkout.
+pub fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// Logical CPU count and, where `/proc/cpuinfo` names it, the CPU model.
+pub fn host() -> String {
+    let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let model = std::fs::read_to_string("/proc/cpuinfo").ok().and_then(|info| {
+        info.lines()
+            .find(|l| l.starts_with("model name"))
+            .and_then(|l| l.split(':').nth(1))
+            .map(|m| m.trim().to_string())
+    });
+    match model {
+        Some(m) => format!("{cpus} logical CPUs, {m}"),
+        None => format!("{cpus} logical CPUs"),
+    }
+}
+
 /// Parses the common `--full` flag.
 pub fn is_full_run() -> bool {
     std::env::args().any(|a| a == "--full")

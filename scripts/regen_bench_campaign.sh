@@ -6,9 +6,13 @@
 # durability cost of an uninterrupted campaign against the direct
 # no-orchestration baseline (checkpoint count, bytes, write wall), and a
 # scripted kill-and-resume cycle reporting the fraction of emulator work
-# re-executed after a mid-campaign crash. All three phases are asserted to
+# re-executed after a mid-campaign crash. It also records the straggler
+# counters of the uninterrupted run (demotions, and completed slices a
+# requeue threw away, asserted zero). All three phases are asserted to
 # converge to identical per-job verdicts before the JSON is rewritten in
-# the repository root.
+# the repository root, stamped with the git revision and host it ran on
+# and carrying a frozen same-host baseline of the previous straggler
+# defense.
 #
 # Run from the repository root:
 #   sh scripts/regen_bench_campaign.sh
