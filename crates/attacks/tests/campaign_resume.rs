@@ -336,9 +336,10 @@ fn panic_injection_retries_and_converges() {
 fn straggler_demotion_keeps_results_correct() {
     let reference = run_uninterrupted("ref-straggler");
 
-    // Factor 0 makes any job that has checkpointed a slice a straggler once two jobs have
-    // completed; a single worker guarantees the third job is still open at
-    // that point. Demotion must only reprioritize, never change results.
+    // Factor 0 makes any job that has checkpointed a slice a straggler once
+    // two jobs have completed; a single worker guarantees the third job is
+    // still open at that point. Demotion must only reprioritize, never
+    // change results.
     let config =
         CampaignConfig { workers: 1, straggler_factor: 0, straggler_after: 2, ..test_config() };
     let report = Campaign::open(fresh_dir("straggler"), config).unwrap().run(make_jobs()).unwrap();
@@ -372,14 +373,17 @@ fn finished_jobs_replay_without_reexecution() {
 
 #[test]
 fn demotion_never_reruns_work() {
-    let reference = run_uninterrupted("ref-demote");
+    let reference =
+        Campaign::open(fresh_dir("ref-demote"), test_config()).unwrap().run(copies(6)).unwrap();
 
     // Factor 0 demotes every open job that has checkpointed a slice once
-    // two jobs have completed. Demotion lowers the priority of the job's
-    // next slices; the slice in flight must run on and keep its result.
+    // two jobs have completed; with six multi-slice jobs sharing two
+    // workers, the others have by then. Demotion lowers the priority of
+    // the job's next slices; the slice in flight must run on and keep its
+    // result.
     let config =
         CampaignConfig { workers: 2, straggler_factor: 0, straggler_after: 2, ..test_config() };
-    let report = Campaign::open(fresh_dir("demote"), config).unwrap().run(make_jobs()).unwrap();
+    let report = Campaign::open(fresh_dir("demote"), config).unwrap().run(copies(6)).unwrap();
     assert!(report.stats.stragglers_demoted >= 1, "an open job was demoted");
     assert_eq!(report.stats.slices_superseded, 0, "no completed slice was thrown away");
     assert_same_results("demote", &reference, &report);
@@ -414,13 +418,13 @@ fn slice_timeout_counts_run_time_not_queue_wait() {
         .unwrap()
         .run(copies(8))
         .unwrap();
-    let mut walls: Vec<Duration> =
+    let walls: Vec<Duration> =
         calibration.jobs.iter().map(|j| j.outcome().expect("calibration job done").wall).collect();
-    walls.sort();
+    let (fastest, slowest) = (*walls.iter().min().unwrap(), *walls.iter().max().unwrap());
     // A timeout far above every calibration slice, and enough jobs that
-    // their queue wait alone would be about four times the timeout.
-    let timeout = walls[walls.len() - 1] * 8;
-    let jobs = (4 * timeout.as_nanos() / walls[walls.len() / 2].as_nanos().max(1)) as usize + 1;
+    // their queue wait alone would be at least eight times the timeout.
+    let timeout = slowest * 16;
+    let jobs = (8 * timeout.as_nanos() / fastest.as_nanos().max(1)) as usize + 1;
 
     let config = CampaignConfig { slice_timeout: timeout, ..one_slice };
     let report = Campaign::open(fresh_dir("timeout"), config).unwrap().run(copies(jobs)).unwrap();
