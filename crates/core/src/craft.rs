@@ -191,9 +191,10 @@ impl<'a> Crafter<'a> {
         let pf = preserve_flags || reads_flags;
         let avoid = avoid.union(self.scratch_in_use);
         let g = self.catalog.request(self.image, op, avoid, pf, &mut self.rng);
+        let (addr, junk_pops) = (g.addr, g.junk_pops.len());
         let idx = self.chain.items.len();
-        self.chain.items.push(ChainItem::Gadget { addr: g.addr, junk_pops: g.junk_pops.len(), op });
-        for _ in 0..g.junk_pops.len() {
+        self.chain.items.push(ChainItem::Gadget { addr, junk_pops, op });
+        for _ in 0..junk_pops {
             let junk = self.rng.gen::<u32>() as u64;
             self.chain.items.push(ChainItem::Imm(junk));
         }
@@ -246,18 +247,20 @@ impl<'a> Crafter<'a> {
         }
     }
 
-    fn pick_scratch(&mut self, protected: RegSet, count: usize) -> Result<Vec<Reg>, RewriteError> {
+    /// Reserves the first `count` (at most 4) free scratch registers; the
+    /// array's tail past `count` is filler.
+    fn pick_scratch(&mut self, protected: RegSet, count: usize) -> Result<[Reg; 4], RewriteError> {
         let blocked = protected.union(self.scratch_in_use);
-        let picked: Vec<Reg> =
-            SCRATCH_ORDER.iter().copied().filter(|r| !blocked.contains(*r)).take(count).collect();
-        if picked.len() < count {
-            Err(RewriteError::RegisterPressure { addr: self.cfg.entry_addr })
-        } else {
-            for r in &picked {
-                self.scratch_in_use.insert(*r);
-            }
-            Ok(picked)
+        let mut free = SCRATCH_ORDER.iter().copied().filter(|r| !blocked.contains(*r));
+        let mut picked = [Reg::Rax; 4];
+        for slot in &mut picked[..count] {
+            *slot =
+                free.next().ok_or(RewriteError::RegisterPressure { addr: self.cfg.entry_addr })?;
         }
+        for r in &picked[..count] {
+            self.scratch_in_use.insert(*r);
+        }
+        Ok(picked)
     }
 
     fn release_scratch(&mut self) {
@@ -334,7 +337,8 @@ impl<'a> Crafter<'a> {
     // -------------------------------------------------------------- blocks
 
     fn emit_block(&mut self, pos: usize) -> Result<(), RewriteError> {
-        let block = &self.cfg.blocks[pos];
+        let cfg = self.cfg;
+        let block = &cfg.blocks[pos];
         let id = block.id;
         self.chain.items.push(ChainItem::BlockStart(id));
 
@@ -346,9 +350,8 @@ impl<'a> Crafter<'a> {
             }
         }
 
-        let insts = block.insts.clone();
-        let n = insts.len();
-        for (i, (addr, inst)) in insts.iter().enumerate() {
+        let n = block.insts.len();
+        for (i, (addr, inst)) in block.insts.iter().enumerate() {
             let is_term = inst.is_terminator();
             if is_term && i == n - 1 && !matches!(inst, Inst::Ret) {
                 // Jmp / Jcc / JmpMem terminators are handled below with the
@@ -388,10 +391,9 @@ impl<'a> Crafter<'a> {
         }
 
         // Terminator.
-        let next_block = self.cfg.blocks.get(pos + 1).map(|b| b.id);
-        let term = self.cfg.blocks[pos].term.clone();
+        let next_block = cfg.blocks.get(pos + 1).map(|b| b.id);
         let live_out = self.liveness.live_out[id.0];
-        match term {
+        match block.term {
             Terminator::Return => { /* handled by the Ret epilogue lowering */ }
             Terminator::FallThrough(target) => {
                 if Some(target) != next_block {
@@ -402,10 +404,7 @@ impl<'a> Crafter<'a> {
                 self.emit_branch(None, target, live_out, id)?;
             }
             Terminator::Branch { taken, fallthrough } => {
-                let last = self.cfg.blocks[pos]
-                    .insts
-                    .last()
-                    .expect("branch block has a terminator instruction");
+                let last = block.insts.last().expect("branch block has a terminator instruction");
                 let Inst::Jcc(cond, _) = last.1 else {
                     return Err(RewriteError::UnsupportedInstruction {
                         addr: last.0,
@@ -424,11 +423,8 @@ impl<'a> Crafter<'a> {
                     self.emit_branch(None, fallthrough, live_out, id)?;
                 }
             }
-            Terminator::Switch { targets, .. } => {
-                let last = self.cfg.blocks[pos]
-                    .insts
-                    .last()
-                    .expect("switch block has a terminator instruction");
+            Terminator::Switch { ref targets, .. } => {
+                let last = block.insts.last().expect("switch block has a terminator instruction");
                 let Inst::JmpMem(mem) = last.1 else {
                     return Err(RewriteError::UnsupportedInstruction {
                         addr: last.0,
@@ -436,7 +432,7 @@ impl<'a> Crafter<'a> {
                     });
                 };
                 self.preserve_flags = false;
-                self.emit_switch(last.0, mem, &targets, live_out)?;
+                self.emit_switch(last.0, mem, targets, live_out)?;
                 self.stats.program_points += 1;
             }
         }
@@ -482,9 +478,9 @@ impl<'a> Crafter<'a> {
                 let anchor = self.gadget(GadgetOp::AddRsp(t1), live_out, true);
                 self.set_anchor(delta_idx, anchor);
             }
-            (Some(_), maybe_cc) => {
-                let p1 = self.p1.clone().expect("checked");
+            (Some(p1), maybe_cc) => {
                 let (ordinal, share) = p1.share_for(branch_index);
+                let (p1_config, array_addr) = (p1.config, p1.array_addr);
                 let needed = if maybe_cc.is_some() { 3 } else { 2 };
                 let ts = self.pick_scratch(live_out, needed)?;
                 let (t_cond, t1, t2) = if maybe_cc.is_some() {
@@ -499,21 +495,20 @@ impl<'a> Crafter<'a> {
                 }
                 self.preserve_flags = false;
                 // f(x): opaquely combine input-derived live registers.
-                let derived_live: Vec<Reg> = self
+                let derived = self
                     .derived
                     .at_entry
                     .get(_from.0)
                     .copied()
                     .unwrap_or(RegSet::EMPTY)
-                    .intersection(live_out)
-                    .iter()
-                    .filter(|r| *r != t1 && *r != t2 && Some(*r) != t_cond)
-                    .collect();
-                match derived_live.first() {
+                    .intersection(live_out);
+                let mut derived_live =
+                    derived.iter().filter(|r| *r != t1 && *r != t2 && Some(*r) != t_cond);
+                match derived_live.next() {
                     Some(r) => {
-                        self.gadget(GadgetOp::MovRR(t1, *r), live_out, false);
-                        if let Some(r2) = derived_live.get(1) {
-                            self.gadget(GadgetOp::Alu(AluOp::Xor, t1, *r2), live_out, false);
+                        self.gadget(GadgetOp::MovRR(t1, r), live_out, false);
+                        if let Some(r2) = derived_live.next() {
+                            self.gadget(GadgetOp::Alu(AluOp::Xor, t1, r2), live_out, false);
                         }
                     }
                     None => {
@@ -522,16 +517,16 @@ impl<'a> Crafter<'a> {
                     }
                 }
                 // t1 = f(x) mod p  → period index.
-                self.pop_value(t2, p1.config.p as u64, live_out);
+                self.pop_value(t2, p1_config.p as u64, live_out);
                 self.gadget(GadgetOp::Rem(t1, t2), live_out, false);
                 // t1 = A + (f(x)*s + ordinal) * 8
-                self.pop_value(t2, (p1.config.s * 8) as u64, live_out);
+                self.pop_value(t2, (p1_config.s * 8) as u64, live_out);
                 self.gadget(GadgetOp::Mul(t1, t2), live_out, false);
-                self.pop_value(t2, p1.array_addr + (ordinal as u64) * 8, live_out);
+                self.pop_value(t2, array_addr + (ordinal as u64) * 8, live_out);
                 self.gadget(GadgetOp::Alu(AluOp::Add, t1, t2), live_out, false);
                 self.gadget(GadgetOp::Load(t1, t1), live_out, false);
                 // t1 = a  (the hidden share)
-                self.pop_value(t2, p1.config.m, live_out);
+                self.pop_value(t2, p1_config.m, live_out);
                 self.gadget(GadgetOp::Rem(t1, t2), live_out, false);
                 // t2 = δ - a ; t1 = δ
                 self.gadget(GadgetOp::Pop(t2), live_out, false);
@@ -674,19 +669,19 @@ impl<'a> Crafter<'a> {
             P3Variant::ArrayUpdate => 1,
             P3Variant::Mixed => self.rng.gen_range(0..2),
         };
-        if variant == 1 && self.p1.is_some() {
+        if let (1, Some(p1)) = (variant, &self.p1) {
             // Opaque array update: A[cell] += m * (sym & 7); the congruence
             // invariant every later branch relies on is preserved.
-            let p1 = self.p1.clone().expect("checked");
+            let (m, cells, array_addr) = (p1.config.m, p1.cells.len(), p1.array_addr);
             let Ok(ts) = self.pick_scratch(avoid, 2) else { return Ok(false) };
             let (t1, t2) = (ts[0], ts[1]);
             self.gadget(GadgetOp::MovRR(t1, sym), avoid, false);
             self.pop_value(t2, 7, avoid);
             self.gadget(GadgetOp::Alu(AluOp::And, t1, t2), avoid, false);
-            self.pop_value(t2, p1.config.m, avoid);
+            self.pop_value(t2, m, avoid);
             self.gadget(GadgetOp::Mul(t1, t2), avoid, false);
-            let cell = self.rng.gen_range(0..p1.cells.len());
-            self.pop_value(t2, p1.array_addr + (cell as u64) * 8, avoid);
+            let cell = self.rng.gen_range(0..cells);
+            self.pop_value(t2, array_addr + (cell as u64) * 8, avoid);
             self.gadget(GadgetOp::AluStore(AluOp::Add, t2, t1), avoid, false);
             return Ok(true);
         }

@@ -14,6 +14,7 @@ use crate::synth::{synthesize, SynthConfig};
 use raindrop_machine::{Image, RegSet};
 use rand::Rng;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Catalog configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,7 +22,13 @@ pub struct CatalogConfig {
     /// Probability of synthesizing a *new* variant when equivalent gadgets
     /// already exist (gadget diversity).
     pub diversity: f64,
-    /// Maximum number of variants kept per exact operation.
+    /// Variant cap per request. A request counts the variants *suitable for
+    /// it*: not retired, clobbering nothing in its avoid set and meeting its
+    /// flag needs. With none it synthesizes one; with fewer than this many
+    /// it synthesizes one with probability
+    /// [`diversity`](CatalogConfig::diversity); otherwise it reuses one. The
+    /// cap does not bound the variants stored per operation: requests with
+    /// different avoid sets or flag needs can each add up to it.
     pub max_variants_per_op: usize,
     /// Configuration of the initial scan over pre-existing code.
     pub scan: ScanConfig,
@@ -53,15 +60,43 @@ pub struct GadgetStats {
     pub artificial: u64,
 }
 
+/// Multiply-rotate hasher for the per-op index: `GadgetOp` hashes as a few
+/// small integers, for which SipHash's DoS resistance buys nothing.
+#[derive(Default)]
+struct OpHasher(u64);
+
+impl Hasher for OpHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_isize(&mut self, v: isize) {
+        self.write_u64(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The gadget catalog.
 #[derive(Debug, Clone)]
 pub struct GadgetCatalog {
     gadgets: Vec<Gadget>,
-    by_op: HashMap<GadgetOp, Vec<usize>>,
+    by_op: HashMap<GadgetOp, Vec<usize>, BuildHasherDefault<OpHasher>>,
     usage: Vec<u64>,
     retired: Vec<bool>,
     config: CatalogConfig,
-    total_requests: u64,
 }
 
 impl GadgetCatalog {
@@ -69,11 +104,10 @@ impl GadgetCatalog {
     pub fn new(config: CatalogConfig) -> GadgetCatalog {
         GadgetCatalog {
             gadgets: Vec::new(),
-            by_op: HashMap::new(),
+            by_op: HashMap::default(),
             usage: Vec::new(),
             retired: Vec::new(),
             config,
-            total_requests: 0,
         }
     }
 
@@ -125,23 +159,6 @@ impl GadgetCatalog {
         &self.gadgets
     }
 
-    fn suitable(&self, op: GadgetOp, avoid_clobber: RegSet, preserve_flags: bool) -> Vec<usize> {
-        self.by_op
-            .get(&op)
-            .map(|ids| {
-                ids.iter()
-                    .copied()
-                    .filter(|&i| {
-                        let g = &self.gadgets[i];
-                        !self.retired[i]
-                            && g.clobbers.intersection(avoid_clobber).is_empty()
-                            && (!preserve_flags || !g.pollutes_flags)
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// Requests a gadget implementing `op` that clobbers no register in
     /// `avoid_clobber` (and, when `preserve_flags` is set, does not pollute
     /// the condition flags).
@@ -157,23 +174,28 @@ impl GadgetCatalog {
         avoid_clobber: RegSet,
         preserve_flags: bool,
         rng: &mut R,
-    ) -> Gadget {
-        self.total_requests += 1;
-        let candidates = self.suitable(op, avoid_clobber, preserve_flags);
-        let want_new = candidates.is_empty()
-            || (candidates.len() < self.config.max_variants_per_op
-                && rng.gen_bool(self.config.diversity));
+    ) -> &Gadget {
+        let ids = self.by_op.get(&op).map_or(&[][..], Vec::as_slice);
+        let suitable = |i: &&usize| {
+            let g = &self.gadgets[**i];
+            !self.retired[**i]
+                && g.clobbers.intersection(avoid_clobber).is_empty()
+                && (!preserve_flags || !g.pollutes_flags)
+        };
+        let count = ids.iter().filter(suitable).count();
+        let want_new = count == 0
+            || (count < self.config.max_variants_per_op && rng.gen_bool(self.config.diversity));
 
         let idx = if want_new {
             let mut g = synthesize(op, avoid_clobber, preserve_flags, self.config.synth, rng);
-            let addr = image.append_text(None, &g.encode());
-            g.addr = addr;
+            g.addr = image.append_text(None, &g.encode());
             self.insert(g)
         } else {
-            candidates[rng.gen_range(0..candidates.len())]
+            let nth = rng.gen_range(0..count);
+            *ids.iter().filter(suitable).nth(nth).expect("nth < count suitable ids")
         };
         self.usage[idx] += 1;
-        self.gadgets[idx].clone()
+        &self.gadgets[idx]
     }
 
     /// Usage statistics accumulated so far.
@@ -191,7 +213,6 @@ impl GadgetCatalog {
         for u in &mut self.usage {
             *u = 0;
         }
-        self.total_requests = 0;
     }
 }
 
