@@ -94,7 +94,7 @@ pub use pipeline::{
     PipelineRun, PipelineWarm, RopPass, VerifyPolicy, VmCode, VmPass,
 };
 pub use predicates::{P1Instance, P2Adjust, P2Operand, P3Policy};
-pub use rewriter::{ImageReport, RewriteReport, Rewriter};
+pub use rewriter::{ImageReport, RewriteReport, Rewriter, RopPhaseWalls};
 pub use roplet::{classify as classify_roplet, Roplet, RopletKind};
 pub use runtime::{RopRuntime, FUNC_RET_SYMBOL, SPILL_SYMBOL, SS_SYMBOL};
 pub use stable::{stable_hash_bytes, FieldBag, StableHasher};

@@ -1607,6 +1607,24 @@ mod tests {
     }
 
     #[test]
+    fn rop_phase_walls_fit_inside_the_pass_wall() {
+        let p = sample_program();
+        let run = Pipeline::new()
+            .pass(VmPass::plain(1))
+            .pass(RopPass::ropk(1.0))
+            .seed(2)
+            .run_program(&p, &["f"])
+            .unwrap();
+        let pass = &run.report.passes[1];
+        let phases = pass.rop().expect("rop detail").phases;
+        assert!(phases.analysis > Duration::ZERO, "{phases:?}");
+        assert!(phases.craft > Duration::ZERO, "{phases:?}");
+        assert!(phases.materialize > Duration::ZERO, "{phases:?}");
+        let sum = phases.analysis + phases.craft + phases.materialize;
+        assert!(sum <= pass.wall, "{phases:?} exceeds the pass wall {:?}", pass.wall);
+    }
+
+    #[test]
     fn obf_config_hash_ignores_seeds_but_not_knobs_or_order() {
         let base = ObfConfig::new().vm(VmConfig::plain(1)).rop(RopConfig::ropk(0.25));
 

@@ -15,6 +15,7 @@ use raindrop_gadgets::{GadgetCatalog, GadgetStats};
 use raindrop_machine::{Image, Reg, RegSet};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::time::{Duration, Instant};
 
 /// Per-function rewriting report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -38,6 +39,19 @@ pub struct RewriteReport {
     pub chain: crate::chain::Chain,
 }
 
+/// Wall time of the per-function rewriting phases, summed over the
+/// functions rewritten successfully. Runtime install, catalog seeding and
+/// range retirement are not in any phase.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct RopPhaseWalls {
+    /// CFG reconstruction, liveness and input-derived dataflow.
+    pub analysis: Duration,
+    /// Chain crafting ([`Crafter::craft`]).
+    pub craft: Duration,
+    /// Chain materialization into the image.
+    pub materialize: Duration,
+}
+
 /// Aggregate report over a whole image (deployability experiment §VII-C1 and
 /// Table III statistics).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -48,6 +62,9 @@ pub struct ImageReport {
     pub failures: Vec<(String, String)>,
     /// Gadget-pool statistics after rewriting (columns A/B of Table III).
     pub gadgets: GadgetStats,
+    /// Where the rewriting wall time went, per phase.
+    #[serde(default)]
+    pub phases: RopPhaseWalls,
 }
 
 impl ImageReport {
@@ -166,6 +183,16 @@ impl Rewriter {
         image: &mut Image,
         name: &str,
     ) -> Result<RewriteReport, RewriteError> {
+        self.rewrite_timed(image, name).map(|(report, _)| report)
+    }
+
+    /// [`rewrite_function`](Rewriter::rewrite_function), also returning the
+    /// wall time of each phase.
+    fn rewrite_timed(
+        &mut self,
+        image: &mut Image,
+        name: &str,
+    ) -> Result<(RewriteReport, RopPhaseWalls), RewriteError> {
         if self.rewritten.contains(name) {
             return Err(RewriteError::AlreadyRewritten { name: name.to_string() });
         }
@@ -188,9 +215,11 @@ impl Rewriter {
         // (§IV-A1).
         att.catalog.retire_range(func.addr, func.addr + func.size);
 
+        let analysis_start = Instant::now();
         let graph = cfg::reconstruct(image, name)?;
         let live = liveness::analyze(&graph);
         let derived = dataflow::input_derived(&graph, RegSet::from_regs(Reg::ARGS));
+        let craft_start = Instant::now();
 
         // Derive a per-function seed so each function gets independent (but
         // reproducible) obfuscation-time choices.
@@ -207,10 +236,16 @@ impl Rewriter {
             seed,
         );
         let (chain, stats, _p1) = crafter.craft()?;
+        let materialize_start = Instant::now();
         let materialized: Materialized = self.mat.materialize(image, &runtime, name, &chain)?;
+        let phases = RopPhaseWalls {
+            analysis: craft_start - analysis_start,
+            craft: materialize_start - craft_start,
+            materialize: materialize_start.elapsed(),
+        };
 
         self.rewritten.insert(name.to_string());
-        Ok(RewriteReport {
+        let report = RewriteReport {
             name: name.to_string(),
             program_points: stats.program_points,
             stats,
@@ -218,7 +253,8 @@ impl Rewriter {
             chain_len: materialized.chain_len,
             blocks: graph.len(),
             chain,
-        })
+        };
+        Ok((report, phases))
     }
 
     /// Rewrites every function in `names`, collecting successes and failures
@@ -242,8 +278,13 @@ impl Rewriter {
         }
         let mut report = ImageReport::default();
         for name in names {
-            match self.rewrite_function(image, name) {
-                Ok(r) => report.rewritten.push(r),
+            match self.rewrite_timed(image, name) {
+                Ok((r, phases)) => {
+                    report.rewritten.push(r);
+                    report.phases.analysis += phases.analysis;
+                    report.phases.craft += phases.craft;
+                    report.phases.materialize += phases.materialize;
+                }
                 Err(e) => report.failures.push((name.to_string(), format!("{e}"))),
             }
         }
