@@ -7,7 +7,10 @@
 //! once more against the now-populated store (**warm** — every request is
 //! a cache hit), for each worker count. The report is protections/sec per
 //! `(workers, phase)` cell, plus the cache speedup, written to
-//! `BENCH_serve.json` (`scripts/regen_bench_serve.sh` wraps this).
+//! `BENCH_serve.json` (`scripts/regen_bench_serve.sh` wraps this). The report
+//! records the git revision and host it was measured on, and embeds a frozen
+//! baseline of the commit before the allocation-free chain crafter, measured
+//! on the same host.
 //!
 //! `--smoke` runs a CI-sized subset and additionally *asserts* the service
 //! contract: the duplicate request in the batch is served from the store
@@ -20,7 +23,7 @@
 
 use raindrop::pipeline::ObfConfig;
 use raindrop::RopConfig;
-use raindrop_bench::write_json;
+use raindrop_bench::{git_rev, host, write_json};
 use raindrop_obfvm::VmConfig;
 use raindrop_server::{ProtectRequest, Server, StoreConfig};
 use raindrop_synth::minic::{BinOp, Expr, Function, Program, Stmt};
@@ -47,10 +50,41 @@ struct Cell {
     protections_per_sec: f64,
 }
 
+/// A frozen `(workers, phase)` throughput of an earlier commit.
+#[derive(Debug, Clone, Serialize)]
+struct BaselineCell {
+    /// Protection workers in the pool.
+    workers: usize,
+    /// `cold` or `warm`.
+    phase: String,
+    /// Requests per second.
+    protections_per_sec: f64,
+}
+
+/// A frozen measurement of an earlier commit on the host of `measured`.
+#[derive(Debug, Clone, Serialize)]
+struct SameHostBaseline {
+    /// What the entry describes.
+    label: String,
+    /// Commit the numbers were measured at.
+    git: String,
+    /// Host the numbers were measured on.
+    host: String,
+    /// Protections/sec per `(workers, phase)` cell.
+    measured: Vec<BaselineCell>,
+}
+
 /// Top-level report written to `BENCH_serve.json`.
 #[derive(Debug, Clone, Serialize)]
 struct Report {
     schema: String,
+    /// Commit `measured` was taken at (`git rev-parse --short HEAD`).
+    git: String,
+    /// Host `measured` was taken on: logical CPUs and CPU model.
+    host: String,
+    /// The commit before the allocation-free chain crafter, frozen, on the
+    /// same host as `measured`.
+    same_host_baseline: SameHostBaseline,
     /// Distinct artifacts in the batch (the duplicate collapses onto one).
     unique_requests: usize,
     /// Requests per batch including the duplicate.
@@ -104,6 +138,30 @@ fn batch(seeds: u64) -> Vec<ProtectRequest> {
     let duplicate = out[0].clone();
     out.push(duplicate);
     out
+}
+
+/// The commit before the allocation-free chain crafter: every gadget request
+/// collected its candidates into a fresh `Vec`, SipHashed the operation and
+/// cloned the chosen gadget. Medians of six runs of this driver,
+/// interleaved with as many runs of the commit that introduced the new
+/// crafter, on the host named here.
+fn same_host_baseline() -> SameHostBaseline {
+    let cell = |workers, phase: &str, protections_per_sec| BaselineCell {
+        workers,
+        phase: phase.into(),
+        protections_per_sec,
+    };
+    SameHostBaseline {
+        label: "per-request candidate Vec, SipHashed op index, cloned Gadget per chain slot".into(),
+        git: "6d77025".into(),
+        host: "2 logical CPUs, Intel(R) Xeon(R) Processor".into(),
+        measured: vec![
+            cell(1, "cold", 678.8),
+            cell(1, "warm", 6465.7),
+            cell(4, "cold", 1268.4),
+            cell(4, "warm", 6566.9),
+        ],
+    }
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -216,7 +274,10 @@ fn main() {
         return;
     }
     let report = Report {
-        schema: "bench_serve/v1".into(),
+        schema: "bench_serve/v2".into(),
+        git: git_rev(),
+        host: host(),
+        same_host_baseline: same_host_baseline(),
         unique_requests: unique,
         batch_requests: requests.len(),
         measured,

@@ -6,7 +6,8 @@
 # artifact store, every request runs the pipeline) and warm (populated
 # store, every request is a cache hit) at each worker count, and rewrites
 # BENCH_serve.json in the repository root with protections/sec per cell and
-# the warm/cold cache speedup.
+# the warm/cold cache speedup, stamped with the git revision and host, next to
+# the frozen same-host baseline compiled into the driver.
 #
 # Run from the repository root:
 #   sh scripts/regen_bench_serve.sh
