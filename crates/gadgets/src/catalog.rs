@@ -76,10 +76,6 @@ impl Hasher for OpHasher {
         self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
     fn write_isize(&mut self, v: isize) {
         self.write_u64(v as u64);
     }
