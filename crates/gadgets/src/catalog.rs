@@ -11,10 +11,9 @@
 use crate::gadget::{Gadget, GadgetOp};
 use crate::scan::{scan_image, ScanConfig};
 use crate::synth::{synthesize, SynthConfig};
+use raindrop_machine::hash::MulRotMap;
 use raindrop_machine::{Image, RegSet};
 use rand::Rng;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Catalog configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,36 +59,13 @@ pub struct GadgetStats {
     pub artificial: u64,
 }
 
-/// Multiply-rotate hasher for the per-op index: `GadgetOp` hashes as a few
-/// small integers, for which SipHash's DoS resistance buys nothing.
-#[derive(Default)]
-struct OpHasher(u64);
-
-impl Hasher for OpHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_isize(&mut self, v: isize) {
-        self.write_u64(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// The gadget catalog.
 #[derive(Debug, Clone)]
 pub struct GadgetCatalog {
     gadgets: Vec<Gadget>,
-    by_op: HashMap<GadgetOp, Vec<usize>, BuildHasherDefault<OpHasher>>,
+    /// Per-op variant index; `GadgetOp` hashes as a few small integers,
+    /// so it takes the multiply-rotate hasher instead of SipHash.
+    by_op: MulRotMap<GadgetOp, Vec<usize>>,
     usage: Vec<u64>,
     retired: Vec<bool>,
     config: CatalogConfig,
@@ -100,7 +76,7 @@ impl GadgetCatalog {
     pub fn new(config: CatalogConfig) -> GadgetCatalog {
         GadgetCatalog {
             gadgets: Vec::new(),
-            by_op: HashMap::default(),
+            by_op: MulRotMap::default(),
             usage: Vec::new(),
             retired: Vec::new(),
             config,
@@ -308,5 +284,47 @@ mod tests {
             cat.request(&mut img, GadgetOp::Neg(Reg::Rax), RegSet::EMPTY, false, &mut rng);
         }
         assert_eq!(cat.stats().unique_used, 1);
+    }
+
+    #[test]
+    fn op_index_hashes_ops_byte_for_byte_as_before() {
+        use raindrop_machine::hash::BuildMulRot;
+        use raindrop_machine::{AluOp, Cond};
+        use std::hash::{BuildHasher, Hash, Hasher};
+
+        /// The catalog's previous private hasher, kept as the reference.
+        #[derive(Default)]
+        struct Reference(u64);
+        impl Hasher for Reference {
+            fn write(&mut self, bytes: &[u8]) {
+                for &b in bytes {
+                    self.write_u64(u64::from(b));
+                }
+            }
+            fn write_u64(&mut self, v: u64) {
+                self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+            }
+            fn write_isize(&mut self, v: isize) {
+                self.write_u64(v as u64);
+            }
+            fn finish(&self) -> u64 {
+                self.0
+            }
+        }
+
+        let ops = [
+            GadgetOp::Pop(Reg::Rax),
+            GadgetOp::MovRR(Reg::Rdx, Reg::R15),
+            GadgetOp::Alu(AluOp::Xor, Reg::Rcx, Reg::Rsi),
+            GadgetOp::ShlImm(Reg::Rbx, 13),
+            GadgetOp::Cmov(Cond::Ne, Reg::R8, Reg::R9),
+            GadgetOp::Unclassified,
+        ];
+        for op in ops {
+            let mut reference = Reference::default();
+            op.hash(&mut reference);
+            let reference = reference.finish();
+            assert_eq!(BuildMulRot::default().hash_one(op), reference, "{op:?}");
+        }
     }
 }

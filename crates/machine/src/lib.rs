@@ -41,6 +41,7 @@ pub mod asm;
 pub mod emu;
 pub mod encode;
 pub mod flags;
+pub mod hash;
 mod icache;
 pub mod image;
 pub mod inst;
