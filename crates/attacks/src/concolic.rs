@@ -52,16 +52,25 @@
 //! [`SetDigest`] of the distinct prefix-constraint structural hashes plus
 //! the negated constraint's hash — so equivalent frontier entries across
 //! paths (and across runs: structural hashes are arena-independent) are
-//! solved exactly once.
+//! solved exactly once. Inside one solver call, candidate inputs are
+//! memoized per record and checked against a tape the record compiles to
+//! once (see [`SearchSolver`]).
 //!
+//! The per-instruction shadow-memory maps and the per-path constraint set
+//! hash with the multiply-rotate [`MulRotHasher`] instead of SipHash: a
+//! ROP path probes shadow memory several times for each of its ~630 memory
+//! operands per 1000 instructions.
+//!
+//! [`MulRotHasher`]: raindrop_machine::hash::MulRotHasher
 //! [`ExecStats`]: raindrop_machine::ExecStats
 //! [`Snapshot`]: raindrop_machine::Snapshot
 
 use crate::solver::{Constraint, SearchSolver, SetDigest, Solver, VarDomain};
 use crate::sym::{BinKind, EvalMemo, ExprArena, ExprId, UnKind};
+use raindrop_machine::hash::{MulRotMap, MulRotSet};
 use raindrop_machine::{AluOp, Cond, EmuError, Emulator, Image, Inst, Reg, Snapshot};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -281,7 +290,10 @@ impl FlagTrack {
 /// locals, VM operand stacks) and individual bytes (byte-oriented workloads
 /// such as base64). A 64-bit reload of a word stored at the same address
 /// returns the original expression unchanged, so values round-tripped
-/// through push/pop or spill slots do not blow up.
+/// through push/pop or spill slots do not blow up. Every memory operand
+/// probes both maps several times, so they take the multiply-rotate hasher;
+/// only [`patch_for_input`] iterates them, over distinct non-overlapping
+/// addresses, so the iteration order cannot change what it writes.
 ///
 /// The `hazard` flag records that some input-dependent state escaped the
 /// tracking (concretization, symbolic addressing, tainted-flag consumption):
@@ -290,8 +302,8 @@ impl FlagTrack {
 #[derive(Clone)]
 struct Shadow {
     regs: [Option<ExprId>; 16],
-    words: HashMap<u64, ExprId>,
-    bytes: HashMap<u64, ExprId>,
+    words: MulRotMap<u64, ExprId>,
+    bytes: MulRotMap<u64, ExprId>,
     flags: FlagTrack,
     hazard: bool,
     hazard_cause: Option<&'static str>,
@@ -301,8 +313,8 @@ impl Shadow {
     fn new() -> Shadow {
         Shadow {
             regs: Default::default(),
-            words: HashMap::new(),
-            bytes: HashMap::new(),
+            words: MulRotMap::default(),
+            bytes: MulRotMap::default(),
             flags: FlagTrack::Concrete,
             hazard: false,
             hazard_cause: None,
@@ -1320,7 +1332,7 @@ impl<'a> Engine<'a> {
         resume: Option<&ResumePoint>,
     ) -> Result<PathOutput, EmuError> {
         let mut constraints: Vec<Constraint>;
-        let mut seen: HashSet<Constraint>;
+        let mut seen: MulRotSet<Constraint>;
         let mut shadow;
         let start_instructions;
 
@@ -1338,7 +1350,7 @@ impl<'a> Engine<'a> {
                 start_instructions = 0;
                 shadow = Shadow::new();
                 constraints = Vec::new();
-                seen = HashSet::new();
+                seen = MulRotSet::default();
 
                 // Seed the concrete input and its shadow.
                 let args: Vec<u64> = match &self.spec {
@@ -1449,18 +1461,6 @@ impl<'a> Engine<'a> {
         }
 
         let instructions = self.emu.stats().instructions;
-        if std::env::var_os("RAINDROP_DSE_DEBUG").is_some() {
-            eprintln!(
-                "[dse-debug] path constraints={} distinct={} forks={} hazard={:?} pre_hazard={} arena={} resumed={}",
-                constraints.len(),
-                seen.len(),
-                forks.len(),
-                hazard_cause,
-                branches_pre_hazard,
-                self.arena.len(),
-                resume.is_some()
-            );
-        }
         Ok(PathOutput {
             record: PathRecord {
                 return_value,
@@ -2085,6 +2085,7 @@ impl<'a, 'b> DseExplorer<'a, 'b> {
 mod tests {
     use super::*;
     use raindrop_synth::{codegen, randomfuns, Goal as RfGoal};
+    use std::collections::HashSet;
 
     fn small_rf(goal: RfGoal, input_size: usize) -> raindrop_synth::RandomFun {
         randomfuns::generate(raindrop_synth::RandomFunConfig {

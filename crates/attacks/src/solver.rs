@@ -9,6 +9,11 @@
 //! enumeration of small domains and bounded random search — the same
 //! concrete strategies the engine previously hard-coded.
 //!
+//! Every strategy ends in the same test: which recorded constraint does a
+//! candidate input violate first? The solver compiles each new record once
+//! into a straight-line tape over dense value slots and answers the test
+//! by running it, with a per-record memo in front (see [`SearchSolver`]).
+//!
 //! # Example
 //!
 //! ```
@@ -29,11 +34,13 @@
 //! assert_eq!(input[0], 42);
 //! ```
 
-use crate::sym::{hash_stream, invert, EvalMemo, ExprArena, ExprId};
+use crate::sym::{eval_bin, eval_un, hash_stream, invert, BinKind, EvalMemo, Expr, ExprArena};
+use crate::sym::{ExprId, UnKind};
+use raindrop_machine::hash::MulRotMap;
 use raindrop_machine::{Cond, Flags};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// One recorded path constraint: the flag-producing operands, the branch
 /// condition and the direction observed at record time.
@@ -60,16 +67,13 @@ pub struct Constraint {
 
 impl Constraint {
     /// Evaluates the branch outcome for a concrete input assignment.
+    ///
+    /// The reference evaluator: the solver scans candidates over a compiled
+    /// tape instead, and the tests pin the two to each other.
     pub fn outcome(&self, arena: &ExprArena, input: &[u64], memo: &mut EvalMemo) -> bool {
         let a = arena.eval(self.lhs, input, memo);
         let b = arena.eval(self.rhs, input, memo);
-        let mut flags = Flags::cleared();
-        if self.flag_is_sub {
-            flags.set_sub(a, b, false);
-        } else {
-            flags.set_logic(a & b);
-        }
-        self.cond.eval(flags)
+        branch_outcome(self.flag_is_sub, self.cond, a, b)
     }
 
     /// Whether the constraint holds in the direction observed at record
@@ -111,6 +115,19 @@ impl Constraint {
         out.push(self.taken as u8);
         out
     }
+}
+
+/// Whether `cond` holds on the flags that `cmp a, b` (`flag_is_sub`) or
+/// `test a, b` leaves behind.
+#[inline]
+fn branch_outcome(flag_is_sub: bool, cond: Cond, a: u64, b: u64) -> bool {
+    let mut flags = Flags::cleared();
+    if flag_is_sub {
+        flags.set_sub(a, b, false);
+    } else {
+        flags.set_logic(a & b);
+    }
+    cond.eval(flags)
 }
 
 /// A concrete input: one value per input variable.
@@ -182,6 +199,12 @@ pub trait Solver {
 /// candidate sets at every flip (the exhaustive domain walk literally
 /// replays the same values), which the memo collapses from quadratic
 /// re-evaluation into one scan each.
+///
+/// A memo miss scans the record's tape, compiled once when a new
+/// record is installed: the record's expression DAG as straight-line code
+/// over dense value slots, run constraint by constraint until the first
+/// violated one. The arena's stack-walking [`ExprArena::eval`] stays the
+/// reference the tests compare the tape against.
 pub struct SearchSolver {
     rng: ChaCha8Rng,
     /// RNG draws consumed so far — the only live state a checkpoint must
@@ -192,12 +215,12 @@ pub struct SearchSolver {
     /// (the longest query seen, with its last constraint unflipped);
     /// shorter queries of the same sweep are its prefixes.
     record: Vec<Constraint>,
+    /// `record` compiled for candidate scans.
+    tape: Tape,
     /// candidate input -> first index of `record` it violates.
-    memo: HashMap<Vec<u64>, usize>,
+    memo: MulRotMap<Vec<u64>, usize>,
     /// Eval memo for the hint input (valid across one `feasible` call).
     eval_hint: EvalMemo,
-    /// Eval memo for candidate scans (reset per candidate).
-    eval_cand: EvalMemo,
 }
 
 impl Default for SearchSolver {
@@ -215,17 +238,17 @@ impl SearchSolver {
             rng: ChaCha8Rng::seed_from_u64(0xa77ac4),
             draws: 0,
             record: Vec::new(),
-            memo: HashMap::new(),
+            tape: Tape::default(),
+            memo: MulRotMap::default(),
             eval_hint: EvalMemo::default(),
-            eval_cand: EvalMemo::default(),
         }
     }
 
     /// Aligns the stored record with `query` (whose last constraint is the
     /// flipped one): if the query's as-recorded form is a prefix of the
-    /// stored record, the memo stays valid; otherwise this is a new record
-    /// and the memo is cleared.
-    fn sync_record(&mut self, query: &[Constraint]) {
+    /// stored record, the memo stays valid; otherwise this is a new record:
+    /// the memo is cleared and the record compiled into the tape.
+    fn sync_record(&mut self, arena: &ExprArena, query: &[Constraint]) {
         let n = query.len();
         let mut last = query[n - 1];
         last.taken = !last.taken;
@@ -237,21 +260,17 @@ impl SearchSolver {
             self.record.extend_from_slice(&query[..n - 1]);
             self.record.push(last);
             self.memo.clear();
+            self.tape.compile(arena, &self.record);
         }
     }
 
     /// First index of `record` that `input` violates (`record.len()` if it
     /// satisfies the whole path as recorded), memoized per candidate.
-    fn first_violated(&mut self, arena: &ExprArena, input: &[u64]) -> usize {
+    fn first_violated(&mut self, input: &[u64]) -> usize {
         if let Some(&v) = self.memo.get(input) {
             return v;
         }
-        self.eval_cand.reset();
-        let v = self
-            .record
-            .iter()
-            .position(|c| !c.satisfied_as_recorded(arena, input, &mut self.eval_cand))
-            .unwrap_or(self.record.len());
+        let v = self.tape.first_violated(input);
         self.memo.insert(input.to_vec(), v);
         v
     }
@@ -269,7 +288,7 @@ impl Solver for SearchSolver {
             return Some(hint.to_vec());
         }
         let i = query.len() - 1;
-        self.sync_record(query);
+        self.sync_record(arena, query);
         let negated = self.record[i];
         let mask = domain.mask;
         self.eval_hint.reset();
@@ -286,7 +305,7 @@ impl Solver for SearchSolver {
                 {
                     let mut cand = hint.to_vec();
                     cand[var] = v & mask;
-                    if self.first_violated(arena, &cand) == i {
+                    if self.first_violated(&cand) == i {
                         return Some(cand);
                     }
                 }
@@ -295,7 +314,7 @@ impl Solver for SearchSolver {
                 {
                     let mut cand = hint.to_vec();
                     cand[var] = v & mask;
-                    if self.first_violated(arena, &cand) == i {
+                    if self.first_violated(&cand) == i {
                         return Some(cand);
                     }
                 }
@@ -311,7 +330,7 @@ impl Solver for SearchSolver {
                 ) {
                     let mut cand = hint.to_vec();
                     cand[var] = v & mask;
-                    if self.first_violated(arena, &cand) == i {
+                    if self.first_violated(&cand) == i {
                         return Some(cand);
                     }
                 }
@@ -326,7 +345,7 @@ impl Solver for SearchSolver {
                 let mut cand = hint.to_vec();
                 for v in 0..size {
                     cand[var] = v;
-                    if self.first_violated(arena, &cand) == i {
+                    if self.first_violated(&cand) == i {
                         return Some(cand);
                     }
                 }
@@ -356,7 +375,7 @@ impl Solver for SearchSolver {
                 self.draws += 1;
                 cand[var] = self.rng.gen::<u64>() & mask;
             }
-            if self.first_violated(arena, &cand) == i {
+            if self.first_violated(&cand) == i {
                 return Some(cand);
             }
         }
@@ -365,6 +384,7 @@ impl Solver for SearchSolver {
 
     fn begin_run(&mut self) {
         self.record.clear();
+        self.tape.clear();
         self.memo.clear();
     }
 
@@ -377,6 +397,174 @@ impl Solver for SearchSolver {
             let _: u64 = self.rng.gen();
         }
         self.draws = self.draws.max(draws);
+    }
+}
+
+/// One straight-line step of a [`Tape`]: computes one expression node into
+/// its value slot.
+#[derive(Debug, Clone, Copy)]
+enum TapeOp {
+    /// `slots[dst] = input[var]` (0 past the end of the input).
+    Input { dst: u32, var: u32 },
+    /// `slots[dst] = eval_bin(kind, slots[a], slots[b])`.
+    Bin { kind: BinKind, dst: u32, a: u32, b: u32 },
+    /// `slots[dst] = eval_un(kind, slots[a])`.
+    Un { kind: UnKind, dst: u32, a: u32 },
+}
+
+/// The check that closes one constraint's segment of a [`Tape`].
+#[derive(Debug, Clone, Copy)]
+struct TapeCheck {
+    /// `ops[..end]` are computed before this check runs.
+    end: u32,
+    lhs: u32,
+    rhs: u32,
+    flag_is_sub: bool,
+    cond: Cond,
+    taken: bool,
+}
+
+/// A constraint record compiled for repeated evaluation under many inputs.
+///
+/// Every expression node the record reaches gets a dense value slot and,
+/// unless it is a constant, one [`TapeOp`], emitted in topological order at
+/// the first constraint that needs it. Constraint `i`'s check runs after
+/// the ops up to its segment end, so a scan evaluates each node at most
+/// once and stops at the first violated constraint, exactly like the
+/// memoized [`Constraint::satisfied_as_recorded`] walk it replaces.
+/// Constant slots are filled at compile time and never rewritten.
+#[derive(Debug, Default)]
+struct Tape {
+    ops: Vec<TapeOp>,
+    checks: Vec<TapeCheck>,
+    /// Slot values; reused across scans.
+    slots: Vec<u64>,
+    /// Compile scratch: arena index -> slot + 1 (0 = not emitted yet).
+    slot_of: Vec<u32>,
+    /// Compile scratch: the nodes given a slot, to reset `slot_of`.
+    emitted: Vec<ExprId>,
+    /// Compile scratch: the post-order walk stack.
+    stack: Vec<ExprId>,
+}
+
+impl Tape {
+    fn clear(&mut self) {
+        self.ops.clear();
+        self.checks.clear();
+        self.slots.clear();
+    }
+
+    /// Compiles `record`, whose expressions live in `arena`.
+    fn compile(&mut self, arena: &ExprArena, record: &[Constraint]) {
+        self.clear();
+        if self.slot_of.len() < arena.len() {
+            self.slot_of.resize(arena.len(), 0);
+        }
+        for c in record {
+            let lhs = self.emit(arena, c.lhs);
+            let rhs = self.emit(arena, c.rhs);
+            self.checks.push(TapeCheck {
+                end: self.ops.len() as u32,
+                lhs,
+                rhs,
+                flag_is_sub: c.flag_is_sub,
+                cond: c.cond,
+                taken: c.taken,
+            });
+        }
+        for id in self.emitted.drain(..) {
+            self.slot_of[id.index()] = 0;
+        }
+    }
+
+    fn slot(&self, id: ExprId) -> Option<u32> {
+        self.slot_of[id.index()].checked_sub(1)
+    }
+
+    fn new_slot(&mut self, id: ExprId, value: u64) -> u32 {
+        let slot = u32::try_from(self.slots.len()).expect("tape holds < 2^32 slots");
+        self.slots.push(value);
+        self.slot_of[id.index()] = slot + 1;
+        self.emitted.push(id);
+        slot
+    }
+
+    /// Emits the ops computing `root` (children first, each node once) and
+    /// returns its slot.
+    fn emit(&mut self, arena: &ExprArena, root: ExprId) -> u32 {
+        self.stack.clear();
+        self.stack.push(root);
+        while let Some(&id) = self.stack.last() {
+            if self.slot(id).is_some() {
+                self.stack.pop();
+                continue;
+            }
+            let node = arena.expr(id);
+            let waiting = self.stack.len();
+            match node {
+                Expr::Bin(_, a, b) => {
+                    self.push_unemitted(b);
+                    self.push_unemitted(a);
+                }
+                Expr::Un(_, a) => self.push_unemitted(a),
+                Expr::Const(_) | Expr::Input(_) => {}
+            }
+            if self.stack.len() > waiting {
+                continue;
+            }
+            self.stack.pop();
+            let value = if let Expr::Const(v) = node { v } else { 0 };
+            let dst = self.new_slot(id, value);
+            let op = match node {
+                Expr::Const(_) => continue,
+                Expr::Input(var) => TapeOp::Input { dst, var },
+                Expr::Bin(kind, a, b) => {
+                    TapeOp::Bin { kind, dst, a: self.ready_slot(a), b: self.ready_slot(b) }
+                }
+                Expr::Un(kind, a) => TapeOp::Un { kind, dst, a: self.ready_slot(a) },
+            };
+            self.ops.push(op);
+        }
+        self.ready_slot(root)
+    }
+
+    fn push_unemitted(&mut self, id: ExprId) {
+        if self.slot(id).is_none() {
+            self.stack.push(id);
+        }
+    }
+
+    fn ready_slot(&self, id: ExprId) -> u32 {
+        self.slot(id).expect("children are emitted before their parents")
+    }
+
+    /// First constraint `input` violates as recorded (the constraint count
+    /// if it violates none). Missing input variables read as 0.
+    fn first_violated(&mut self, input: &[u64]) -> usize {
+        let slots = &mut self.slots;
+        let mut pc = 0;
+        for (i, check) in self.checks.iter().enumerate() {
+            let end = check.end as usize;
+            for op in &self.ops[pc..end] {
+                match *op {
+                    TapeOp::Input { dst, var } => {
+                        slots[dst as usize] = input.get(var as usize).copied().unwrap_or(0);
+                    }
+                    TapeOp::Bin { kind, dst, a, b } => {
+                        slots[dst as usize] = eval_bin(kind, slots[a as usize], slots[b as usize]);
+                    }
+                    TapeOp::Un { kind, dst, a } => {
+                        slots[dst as usize] = eval_un(kind, slots[a as usize]);
+                    }
+                }
+            }
+            pc = end;
+            let (a, b) = (slots[check.lhs as usize], slots[check.rhs as usize]);
+            if branch_outcome(check.flag_is_sub, check.cond, a, b) != check.taken {
+                return i;
+            }
+        }
+        self.checks.len()
     }
 }
 
@@ -416,7 +604,167 @@ impl SetDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sym::BinKind;
+    use proptest::prelude::*;
+
+    const BINS: [BinKind; 13] = [
+        BinKind::Add,
+        BinKind::Sub,
+        BinKind::Mul,
+        BinKind::Div,
+        BinKind::Rem,
+        BinKind::And,
+        BinKind::Or,
+        BinKind::Xor,
+        BinKind::Shl,
+        BinKind::Shr,
+        BinKind::Sar,
+        BinKind::Eq,
+        BinKind::Ult,
+    ];
+    const UNS: [UnKind; 3] = [UnKind::Neg, UnKind::Not, UnKind::SextByte];
+    /// Input variables the random arenas mention; candidate inputs are
+    /// drawn up to this long, so shorter ones leave variables missing.
+    const VARS: usize = 3;
+
+    /// One DAG-construction step; children index the pool of built nodes
+    /// (modulo its size), which shares subterms heavily.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Const(u64),
+        Input(usize),
+        Bin(usize, usize, usize),
+        Un(usize, usize),
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (0u64..4).prop_map(Step::Const),
+            any::<u64>().prop_map(Step::Const),
+            (0usize..VARS).prop_map(Step::Input),
+            (0usize..BINS.len(), any::<usize>(), any::<usize>())
+                .prop_map(|(k, a, b)| Step::Bin(k, a, b)),
+            (0usize..UNS.len(), any::<usize>()).prop_map(|(k, a)| Step::Un(k, a)),
+        ]
+    }
+
+    /// One record entry: a fresh constraint over two pool nodes (flag
+    /// kind, condition, and whether to flip the direction the hint
+    /// records), or a repeat of an earlier entry.
+    #[derive(Debug, Clone)]
+    enum Entry {
+        Fresh(usize, usize, bool, usize, u8),
+        Repeat(usize),
+    }
+
+    fn entry_strategy() -> impl Strategy<Value = Entry> {
+        prop_oneof![
+            (any::<usize>(), any::<usize>(), any::<bool>(), 0usize..Cond::ALL.len(), 0u8..6)
+                .prop_map(|(l, r, sub, c, flip)| Entry::Fresh(l, r, sub, c, flip)),
+            any::<usize>().prop_map(Entry::Repeat),
+        ]
+    }
+
+    fn value_strategy() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..4, any::<u64>()]
+    }
+
+    fn build_pool(arena: &mut ExprArena, steps: &[Step]) -> Vec<ExprId> {
+        let mut pool = vec![arena.input(0)];
+        for step in steps {
+            let id = match *step {
+                Step::Const(c) => arena.constant(c),
+                Step::Input(v) => arena.input(v),
+                Step::Bin(k, a, b) => {
+                    let (a, b) = (pool[a % pool.len()], pool[b % pool.len()]);
+                    arena.bin(BINS[k % BINS.len()], a, b)
+                }
+                Step::Un(k, a) => {
+                    let a = pool[a % pool.len()];
+                    arena.un(UNS[k % UNS.len()], a)
+                }
+            };
+            pool.push(id);
+        }
+        pool
+    }
+
+    /// The record the engine would hand over: each constraint's direction
+    /// is its outcome under `hint`, flipped for about one entry in six.
+    fn build_record(
+        arena: &ExprArena,
+        pool: &[ExprId],
+        entries: &[Entry],
+        hint: &[u64],
+    ) -> Vec<Constraint> {
+        let mut record: Vec<Constraint> = Vec::new();
+        for entry in entries {
+            let c = match *entry {
+                Entry::Repeat(i) if !record.is_empty() => record[i % record.len()],
+                Entry::Repeat(i) => Constraint {
+                    lhs: pool[i % pool.len()],
+                    rhs: pool[0],
+                    flag_is_sub: true,
+                    cond: Cond::E,
+                    taken: false,
+                },
+                Entry::Fresh(l, r, flag_is_sub, cond, flip) => {
+                    let mut c = Constraint {
+                        lhs: pool[l % pool.len()],
+                        rhs: pool[r % pool.len()],
+                        flag_is_sub,
+                        cond: Cond::ALL[cond],
+                        taken: false,
+                    };
+                    c.taken = c.outcome(arena, hint, &mut EvalMemo::default()) != (flip == 0);
+                    c
+                }
+            };
+            record.push(c);
+        }
+        record
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The compiled tape finds the same first violated constraint as
+        /// the reference walk over `satisfied_as_recorded`, for the hint
+        /// the record was taken under, for inputs near it and for
+        /// unrelated ones, including inputs shorter than the variable
+        /// count.
+        #[test]
+        fn tape_scan_matches_the_reference_scan(
+            steps in proptest::collection::vec(step_strategy(), 1..80),
+            entries in proptest::collection::vec(entry_strategy(), 1..40),
+            hint in proptest::collection::vec(value_strategy(), VARS),
+            others in proptest::collection::vec(
+                proptest::collection::vec(value_strategy(), 0..=VARS),
+                1..8,
+            ),
+        ) {
+            let mut arena = ExprArena::new();
+            let pool = build_pool(&mut arena, &steps);
+            let record = build_record(&arena, &pool, &entries, &hint);
+            let mut tape = Tape::default();
+            tape.compile(&arena, &record);
+            let mut candidates = vec![hint.clone()];
+            for (i, other) in others.iter().enumerate() {
+                let mut near = hint.clone();
+                near[i % VARS] = other.first().copied().unwrap_or(0);
+                candidates.push(near);
+                candidates.push(other.clone());
+            }
+            let mut memo = EvalMemo::default();
+            for input in &candidates {
+                memo.reset();
+                let reference = record
+                    .iter()
+                    .position(|c| !c.satisfied_as_recorded(&arena, input, &mut memo))
+                    .unwrap_or(record.len());
+                prop_assert_eq!(tape.first_violated(input), reference, "input {:?}", input);
+            }
+        }
+    }
 
     fn eq_constraint(arena: &mut ExprArena, lhs: ExprId, value: u64, taken: bool) -> Constraint {
         let rhs = arena.constant(value);
@@ -477,7 +825,7 @@ mod tests {
             let got = solver.feasible(&mut arena, &query, &domain, &[200]);
             let got = got.expect("each flip has a feasible input");
             // The memoized record must answer every truncation consistently.
-            assert_eq!(solver.first_violated(&arena, &got), i);
+            assert_eq!(solver.first_violated(&got), i);
         }
     }
 
