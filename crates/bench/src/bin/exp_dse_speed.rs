@@ -14,8 +14,9 @@
 //!
 //! The JSON embeds the frozen pre-PR baseline (the seed explorer before
 //! fork points and constraint caching existed, measured on the same job
-//! list and machine class) so the trajectory keeps its origin, mirroring
-//! `BENCH_emu.json`.
+//! list and machine class) so the trajectory keeps its origin, and, like
+//! `BENCH_emu.json` and `BENCH_serve.json`, the git rev and host of the
+//! fresh measurement plus a frozen baseline taken on that same host.
 //!
 //! A fourth, separately reported measurement is the **depth stress**: a
 //! deep P3-heavy ROP chain (200-iteration loop, a branch per iteration)
@@ -38,8 +39,8 @@ use raindrop_attacks::fleet::{AttackFleet, DseJob};
 use raindrop_attacks::{DseAttack, ExploreMode, Goal, InputSpec};
 use raindrop_bench::{
     depth_stress_budget, depth_stress_loop_size, depth_stress_randomfun,
-    depth_stress_randomfun_smoke, dse_speed_budget, dse_speed_suite, prepare_randomfun, write_json,
-    ObfKind,
+    depth_stress_randomfun_smoke, dse_speed_budget, dse_speed_suite, git_rev, host,
+    prepare_randomfun, write_json, ObfKind,
 };
 use serde::Serialize;
 use std::time::Instant;
@@ -114,6 +115,21 @@ struct FrozenEntry {
     jobs: Vec<FrozenJob>,
 }
 
+/// A frozen measurement of an earlier commit on the host `measured` ran on.
+#[derive(Debug, Clone, Serialize)]
+struct SameHostBaseline {
+    /// What the entry describes.
+    label: String,
+    /// Commit the numbers were measured at.
+    git: String,
+    /// Host the numbers were measured on.
+    host: String,
+    /// Runs of each commit the medians are taken over, interleaved.
+    runs: usize,
+    /// Median whole-pass wall seconds per pass label.
+    total_wall_seconds: Vec<(String, f64)>,
+}
+
 /// The frozen depth-stress measurement of the tree-counted explorer
 /// (before the hash-consed arena), on the full-size workload.
 #[derive(Debug, Clone, Serialize)]
@@ -184,8 +200,15 @@ struct DepthStressEntry {
 struct Report {
     /// Schema tag for future extensions.
     schema: String,
+    /// Commit `measured` was taken at (`git rev-parse --short HEAD`).
+    git: String,
+    /// Host `measured` was taken on: logical CPUs and CPU model.
+    host: String,
     /// The pre-PR explorer, measured once and frozen.
     pre_pr_baseline: FrozenEntry,
+    /// The commit before the tape-compiled solver scans, frozen, on the
+    /// same host as `measured`.
+    same_host_baseline: SameHostBaseline,
     /// Freshly measured passes.
     measured: Vec<PassResult>,
     /// `pre_pr_baseline.total_wall_seconds / fork_fleet.total_wall_seconds`.
@@ -254,6 +277,24 @@ fn pre_pr_baseline() -> FrozenEntry {
                 instructions: i,
             })
             .collect(),
+    }
+}
+
+/// The explorer before the solver scanned candidates over a compiled tape
+/// and before the shadow maps dropped SipHash: medians of seven runs of
+/// this driver at that commit, interleaved with as many runs of the commit
+/// that introduced the tape, on the host named here.
+fn same_host_baseline() -> SameHostBaseline {
+    SameHostBaseline {
+        label: "memoized stack-walking candidate scans, SipHashed shadow memory".into(),
+        git: "94d845b".into(),
+        host: "2 logical CPUs, Intel(R) Xeon(R) Processor".into(),
+        runs: 7,
+        total_wall_seconds: vec![
+            ("rerun_1worker".into(), 2.683),
+            ("fork_1worker".into(), 2.909),
+            ("fork_fleet".into(), 1.627),
+        ],
     }
 }
 
@@ -431,8 +472,11 @@ fn main() {
     let depth_gain =
         depth.max_branches_pre_hazard as f64 / depth_base.branches_before_first_hazard as f64;
     let report = Report {
-        schema: "bench_dse/v2".into(),
+        schema: "bench_dse/v3".into(),
+        git: git_rev(),
+        host: host(),
         pre_pr_baseline: baseline,
+        same_host_baseline: same_host_baseline(),
         measured,
         speedup_vs_baseline: speedup,
         depth_stress: DepthStressEntry { baseline: depth_base, measured: depth, depth_gain },

@@ -7,10 +7,12 @@
 # the machine's parallelism), runs the depth-stress workload (symbolic
 # fork depth before the first expression-size hazard, against the frozen
 # tree-counted baseline), and rewrites BENCH_dse.json in the repository
-# root. The frozen baselines (the seed explorer before fork-point
-# snapshots and constraint caching; the tree-counted depth-stress run
-# before the hash-consed arena) are embedded in the driver and carried
-# over unchanged, so the file always keeps the trajectory's origins.
+# root, stamped with the git rev and host. The frozen baselines (the seed
+# explorer before fork-point snapshots and constraint caching; the
+# tree-counted depth-stress run before the hash-consed arena; the
+# same-host run before tape-compiled solver scans) are embedded in the
+# driver and carried over unchanged, so the file always keeps the
+# trajectory's origins.
 #
 # Run from the repository root:
 #   sh scripts/regen_bench_dse.sh
