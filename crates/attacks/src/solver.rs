@@ -430,8 +430,8 @@ struct TapeCheck {
 /// unless it is a constant, one [`TapeOp`], emitted in topological order at
 /// the first constraint that needs it. Constraint `i`'s check runs after
 /// the ops up to its segment end, so a scan evaluates each node at most
-/// once and stops at the first violated constraint, exactly like the
-/// memoized [`Constraint::satisfied_as_recorded`] walk it replaces.
+/// once and stops at the first violated constraint, with the same answer as
+/// walking the record through [`Constraint::satisfied_as_recorded`].
 /// Constant slots are filled at compile time and never rewritten.
 #[derive(Debug, Default)]
 struct Tape {
@@ -699,14 +699,8 @@ mod tests {
         let mut record: Vec<Constraint> = Vec::new();
         for entry in entries {
             let c = match *entry {
-                Entry::Repeat(i) if !record.is_empty() => record[i % record.len()],
-                Entry::Repeat(i) => Constraint {
-                    lhs: pool[i % pool.len()],
-                    rhs: pool[0],
-                    flag_is_sub: true,
-                    cond: Cond::E,
-                    taken: false,
-                },
+                Entry::Repeat(_) if record.is_empty() => continue,
+                Entry::Repeat(i) => record[i % record.len()],
                 Entry::Fresh(l, r, flag_is_sub, cond, flip) => {
                     let mut c = Constraint {
                         lhs: pool[l % pool.len()],
